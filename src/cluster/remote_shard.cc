@@ -7,27 +7,6 @@
 namespace arsp {
 namespace cluster {
 
-namespace {
-
-// Whether the connection that produced `status` is still trustworthy.
-// Application-level failures (NotFound, InvalidArgument, Unavailable, ...)
-// arrive in intact frames — the stream is fine. kInternal covers every
-// transport failure (send/recv, framing, protocol violation); the server
-// can also emit it for a genuine internal error, in which case discarding
-// the connection is merely a wasted reconnect, never wrong.
-bool ConnectionReusable(const Status& status) {
-  return status.code() != StatusCode::kInternal &&
-         status.code() != StatusCode::kFailedPrecondition;
-}
-
-const Status& StatusOf(const Status& s) { return s; }
-template <typename T>
-const Status& StatusOf(const StatusOr<T>& s) {
-  return s.status();
-}
-
-}  // namespace
-
 RemoteShard::RemoteShard(std::string host, int port)
     : host_(std::move(host)), port_(port) {}
 
@@ -48,17 +27,16 @@ void RemoteShard::Return(net::ArspClient client) {
   idle_.push_back(std::move(client));
 }
 
-// One borrowed round trip: checkout (or dial), call, return the connection
-// to the pool unless it may be poisoned.
-#define ARSP_REMOTE_CALL(METHOD, ...)                         \
-  do {                                                        \
-    auto client = Checkout();                                 \
-    if (!client.ok()) return client.status();                 \
-    auto result = client->METHOD(__VA_ARGS__);                \
-    if (ConnectionReusable(StatusOf(result))) {               \
-      Return(std::move(*client));                             \
-    }                                                         \
-    return result;                                            \
+// One borrowed round trip: checkout (or dial), call, and return the
+// connection to the pool unless the call closed it (ArspClient closes on
+// every transport failure, so a dead connection never goes back).
+#define ARSP_REMOTE_CALL(METHOD, ...)                    \
+  do {                                                   \
+    auto client = Checkout();                            \
+    if (!client.ok()) return client.status();            \
+    auto result = client->METHOD(__VA_ARGS__);           \
+    if (client->connected()) Return(std::move(*client)); \
+    return result;                                       \
   } while (0)
 
 StatusOr<LoadDatasetResponse> RemoteShard::Load(

@@ -3,9 +3,10 @@
 // RemoteShard — a ServiceBackend over an arspd peer. ArspClient is one
 // blocking connection with strictly sequential requests, so concurrency
 // comes from a checkout/return pool: each call borrows an idle connection
-// (or dials a new one), runs the round trip, and returns it. A connection
-// that saw a transport error is discarded, not returned — the next call
-// dials fresh, which is the reconnect policy.
+// (or dials a new one), runs the round trip, and returns it. A transport
+// error closes the connection (typed Unavailable), and a closed connection
+// is discarded, not returned — the next call dials fresh, which is the
+// reconnect policy.
 
 #ifndef ARSP_CLUSTER_REMOTE_SHARD_H_
 #define ARSP_CLUSTER_REMOTE_SHARD_H_

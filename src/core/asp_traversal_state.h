@@ -310,12 +310,10 @@ struct TraversalLane {
   }
 };
 
-// Helpers shared by the kd/quad/multi-way ASP runners, which all walk the
-// same SoA score storage (ScoreSpan; row index == local instance id) with
-// an `order` permutation. One definition here keeps the three traversals'
-// corner computation, candidate filtering, terminal emission, and goal
-// gating in lockstep — a change to any of these rules is a change to all
-// solvers.
+// The steps of one node visit of AspWalker (parallel_traversal.h), which
+// walks the SoA score storage (ScoreSpan; row index == local instance id,
+// view-local object ids) through an `order` permutation for every
+// traversal solver.
 
 /// Tight [pmin, pmax] corners of rows order[begin..end) (end > begin),
 /// tightened by the dispatched ScoreCorners kernel (strict-inequality
@@ -345,8 +343,8 @@ inline void ComputeScoreCorners(const ScoreSpan& scores,
 /// σ/kept side effects in candidate order. Counts one dominance test per
 /// candidate into `counters`, as the scalar loop always has. When
 /// `adds_out` is non-null, every (object, prob) fed to state->Add is also
-/// appended there — the parallel driver records these per-node deltas into
-/// a PathChain so spawned tasks can replay the root→node σ path with the
+/// appended there — the walker records these per-node deltas into a
+/// PathChain so spawned tasks can replay the root→node σ path with the
 /// exact same Add sequence (hence bitwise-equal state).
 inline void FilterAspCandidates(const ScoreSpan& scores,
                                 const std::vector<int>& parent_candidates,

@@ -4,12 +4,8 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
-#include <optional>
-#include <utility>
 #include <vector>
 
-#include "src/core/asp_traversal_state.h"
 #include "src/core/parallel_traversal.h"
 #include "src/core/solver.h"
 #include "src/prefs/score_mapper.h"
@@ -18,220 +14,94 @@ namespace arsp {
 
 namespace {
 
-using internal::AspTraversalState;
-using internal::GoalChannel;
-using internal::ParallelExecutor;
-using internal::PathChain;
-using internal::TraversalLane;
+using internal::NodeBox;
+using internal::RowRange;
 
-// Runs over the context's SoA score storage (ScoreSpan): rows are local
-// instance ids, object ids are view-local. The hot candidate loops touch
-// only the three dense arrays (coords, probs, objects) — no Instance or
-// Point indirection.
-//
-// All traversal state lives in the TraversalLane the caller passes to the
-// Run entry points; the runner itself holds only immutable inputs plus the
-// shared `order` permutation and prebuilt nodes. With a ParallelExecutor,
-// the walk above `frontier_depth` runs on the caller's lane and each child
-// subtree at the frontier becomes one task: the task replays the captured
-// root→subtree PathChain into its own lane (bitwise the serial Add
-// sequence) and descends. Subtree ranges are disjoint and never revisited
-// by ancestors, so concurrent tasks write disjoint order_/probs_ slices.
-class KdAspRunner {
+// KDTT+: halve a node's rows at the median of its widest dimension,
+// construction fused with the walk.
+struct MedianSplit : internal::RangeSplit {
+  int BranchFactor(int /*dim*/) const { return 2; }
+
+  template <typename Emit>
+  void ForEachChild(const RowRange& node, const NodeBox& box,
+                    const ScoreSpan& scores, std::vector<int>* order,
+                    Emit&& emit) const {
+    const int mid = node.begin + (node.end - node.begin) / 2;
+    const int split_dim = internal::WidestDim(box, scores.dim);
+    std::nth_element(order->begin() + node.begin, order->begin() + mid,
+                     order->begin() + node.end,
+                     [&scores, split_dim](int a, int b) {
+                       return scores.row(a)[split_dim] <
+                              scores.row(b)[split_dim];
+                     });
+    emit(RowRange{node.begin, mid});
+    emit(RowRange{mid, node.end});
+  }
+};
+
+// KDTT: the same median split applied to the whole tree before the walk
+// (serially — construction is the cheap, memory-bound phase); the walk then
+// reads each node's children and corners from storage.
+class PrebuiltKdSplit {
  public:
-  KdAspRunner(ScoreSpan scores, double* probs, ParallelExecutor* executor,
-              int frontier_depth)
-      : scores_(scores),
-        dim_(scores.dim),
-        order_(static_cast<size_t>(scores.n)),
-        probs_(probs),
-        executor_(executor),
-        frontier_depth_(frontier_depth) {
-    std::iota(order_.begin(), order_.end(), 0);
+  using Node = int;  // index into nodes_
+
+  int BranchFactor(int /*dim*/) const { return 2; }
+
+  int Root(const ScoreSpan& scores, std::vector<int>* order) {
+    return Build(scores, order, RowRange{0, scores.n});
+  }
+  RowRange Rows(int node) const { return At(node).rows; }
+  NodeBox Corners(int node, const ScoreSpan& /*scores*/,
+                  const std::vector<int>& /*order*/,
+                  std::vector<double>* /*pmin*/,
+                  std::vector<double>* /*pmax*/) const {
+    return NodeBox{At(node).pmin.data(), At(node).pmax.data()};
   }
 
-  // KDTT+: construction fused with traversal.
-  void RunIntegrated(TraversalLane& lane) {
-    if (scores_.n == 0) return;
-    std::vector<int> candidates(order_);
-    RecurseIntegrated(lane, 0, scores_.n, candidates, 1, nullptr);
-  }
-
-  // KDTT: build the full kd-tree (serially — construction is the cheap,
-  // memory-bound phase), then pre-order traverse it.
-  void RunPrebuilt(TraversalLane& lane) {
-    if (scores_.n == 0) return;
-    const int root = Build(0, scores_.n);
-    std::vector<int> candidates(order_);
-    Traverse(lane, root, candidates, 1, nullptr);
+  template <typename Emit>
+  void ForEachChild(int node, const NodeBox& /*box*/,
+                    const ScoreSpan& /*scores*/, std::vector<int>* /*order*/,
+                    Emit&& emit) const {
+    ARSP_DCHECK(At(node).left >= 0 && At(node).right >= 0);
+    emit(At(node).left);
+    emit(At(node).right);
   }
 
  private:
-  struct Node {
-    int begin, end;
+  struct KdNode {
+    RowRange rows;
     int left = -1, right = -1;
     std::vector<double> pmin, pmax;
   };
 
-  int WidestDim(const double* pmin, const double* pmax) const {
-    int dim = 0;
-    double widest = -1.0;
-    for (int k = 0; k < dim_; ++k) {
-      const double extent = pmax[k] - pmin[k];
-      if (extent > widest) {
-        widest = extent;
-        dim = k;
-      }
-    }
-    return dim;
+  const KdNode& At(int node) const {
+    return nodes_[static_cast<size_t>(node)];
   }
 
-  void PartitionRange(int begin, int end, int mid, int split_dim) {
-    std::nth_element(order_.begin() + begin, order_.begin() + mid,
-                     order_.begin() + end, [this, split_dim](int a, int b) {
-                       return scores_.row(a)[split_dim] <
-                              scores_.row(b)[split_dim];
-                     });
-  }
-
-  void RecurseIntegrated(TraversalLane& lane, int begin, int end,
-                         const std::vector<int>& parent_candidates, int depth,
-                         const std::shared_ptr<const PathChain>& chain) {
-    if (lane.SkipSubtree(order_, begin, end, depth)) return;
-    ++lane.counters.nodes_visited;
-    std::vector<double> pmin, pmax;
-    internal::ComputeScoreCorners(scores_, order_, begin, end, &pmin, &pmax);
-
-    // Above the frontier, record this node's Add-deltas so frontier tasks
-    // can replay the root→subtree path. Inside a task depth starts at the
-    // frontier, so capture (and spawning) never re-fires there.
-    const bool capture = executor_ != nullptr && depth < frontier_depth_;
-    std::vector<std::pair<int, double>> adds;
-    std::vector<int> kept;
-    std::vector<AspTraversalState::Change> undo_log;
-    internal::FilterAspCandidates(scores_, parent_candidates, pmin.data(),
-                                  pmax.data(), &lane.state, &kept, &undo_log,
-                                  &lane.class_scratch, &lane.counters,
-                                  capture ? &adds : nullptr);
-
-    if (!internal::HandleAspTerminal(scores_, order_, begin, end, pmin.data(),
-                                     pmax.data(), lane.state, probs_,
-                                     &lane.counters, &lane.channel)) {
-      const int mid = begin + (end - begin) / 2;
-      PartitionRange(begin, end, mid, WidestDim(pmin.data(), pmax.data()));
-      if (capture) {
-        auto node_chain =
-            std::make_shared<const PathChain>(chain, std::move(adds));
-        if (depth + 1 == frontier_depth_) {
-          auto shared_kept =
-              std::make_shared<const std::vector<int>>(std::move(kept));
-          SpawnIntegrated(node_chain, begin, mid, shared_kept);
-          SpawnIntegrated(node_chain, mid, end, shared_kept);
-        } else {
-          RecurseIntegrated(lane, begin, mid, kept, depth + 1, node_chain);
-          RecurseIntegrated(lane, mid, end, kept, depth + 1, node_chain);
-        }
-      } else {
-        RecurseIntegrated(lane, begin, mid, kept, depth + 1, nullptr);
-        RecurseIntegrated(lane, mid, end, kept, depth + 1, nullptr);
-      }
-    }
-    lane.state.Undo(undo_log);
-  }
-
-  void SpawnIntegrated(const std::shared_ptr<const PathChain>& chain,
-                       int begin, int end,
-                       const std::shared_ptr<const std::vector<int>>& kept) {
-    executor_->Spawn([this, chain, begin, end, kept](TraversalLane& lane) {
-      if (lane.stopped) return;  // global goal-met: skip even the replay
-      std::vector<AspTraversalState::Change> replay_log;
-      chain->Replay(&lane.state, &replay_log);
-      RecurseIntegrated(lane, begin, end, *kept, frontier_depth_, nullptr);
-      lane.state.Undo(replay_log);
-    });
-  }
-
-  int Build(int begin, int end) {
-    const int node_id = static_cast<int>(nodes_.size());
+  int Build(const ScoreSpan& scores, std::vector<int>* order, RowRange rows) {
+    const size_t id = nodes_.size();
     nodes_.emplace_back();
-    nodes_.back().begin = begin;
-    nodes_.back().end = end;
+    nodes_.back().rows = rows;
     std::vector<double> pmin, pmax;
-    internal::ComputeScoreCorners(scores_, order_, begin, end, &pmin, &pmax);
-    nodes_[static_cast<size_t>(node_id)].pmin = pmin;
-    nodes_[static_cast<size_t>(node_id)].pmax = pmax;
-    if (end - begin > 1 && !CoordsEqual(pmin.data(), pmax.data(), dim_)) {
-      const int mid = begin + (end - begin) / 2;
-      PartitionRange(begin, end, mid, WidestDim(pmin.data(), pmax.data()));
-      const int left = Build(begin, mid);
-      const int right = Build(mid, end);
-      nodes_[static_cast<size_t>(node_id)].left = left;
-      nodes_[static_cast<size_t>(node_id)].right = right;
+    const MedianSplit median;
+    const NodeBox box = median.Corners(rows, scores, *order, &pmin, &pmax);
+    nodes_[id].pmin = pmin;
+    nodes_[id].pmax = pmax;
+    if (rows.end - rows.begin > 1 &&
+        !CoordsEqual(box.pmin, box.pmax, scores.dim)) {
+      int children[2] = {-1, -1};
+      int count = 0;
+      median.ForEachChild(rows, box, scores, order, [&](RowRange child) {
+        children[count++] = Build(scores, order, child);
+      });
+      nodes_[id].left = children[0];
+      nodes_[id].right = children[1];
     }
-    return node_id;
+    return static_cast<int>(id);
   }
 
-  void Traverse(TraversalLane& lane, int node_id,
-                const std::vector<int>& parent_candidates, int depth,
-                const std::shared_ptr<const PathChain>& chain) {
-    const Node& node = nodes_[static_cast<size_t>(node_id)];
-    if (lane.SkipSubtree(order_, node.begin, node.end, depth)) return;
-    ++lane.counters.nodes_visited;
-
-    const bool capture = executor_ != nullptr && depth < frontier_depth_;
-    std::vector<std::pair<int, double>> adds;
-    std::vector<int> kept;
-    std::vector<AspTraversalState::Change> undo_log;
-    internal::FilterAspCandidates(scores_, parent_candidates,
-                                  node.pmin.data(), node.pmax.data(),
-                                  &lane.state, &kept, &undo_log,
-                                  &lane.class_scratch, &lane.counters,
-                                  capture ? &adds : nullptr);
-
-    if (!internal::HandleAspTerminal(scores_, order_, node.begin, node.end,
-                                     node.pmin.data(), node.pmax.data(),
-                                     lane.state, probs_, &lane.counters,
-                                     &lane.channel)) {
-      ARSP_DCHECK(node.left >= 0 && node.right >= 0);
-      if (capture) {
-        auto node_chain =
-            std::make_shared<const PathChain>(chain, std::move(adds));
-        if (depth + 1 == frontier_depth_) {
-          auto shared_kept =
-              std::make_shared<const std::vector<int>>(std::move(kept));
-          SpawnPrebuilt(node_chain, node.left, shared_kept);
-          SpawnPrebuilt(node_chain, node.right, shared_kept);
-        } else {
-          Traverse(lane, node.left, kept, depth + 1, node_chain);
-          Traverse(lane, node.right, kept, depth + 1, node_chain);
-        }
-      } else {
-        Traverse(lane, node.left, kept, depth + 1, nullptr);
-        Traverse(lane, node.right, kept, depth + 1, nullptr);
-      }
-    }
-    lane.state.Undo(undo_log);
-  }
-
-  void SpawnPrebuilt(const std::shared_ptr<const PathChain>& chain,
-                     int node_id,
-                     const std::shared_ptr<const std::vector<int>>& kept) {
-    executor_->Spawn([this, chain, node_id, kept](TraversalLane& lane) {
-      if (lane.stopped) return;
-      std::vector<AspTraversalState::Change> replay_log;
-      chain->Replay(&lane.state, &replay_log);
-      Traverse(lane, node_id, *kept, frontier_depth_, nullptr);
-      lane.state.Undo(replay_log);
-    });
-  }
-
-  const ScoreSpan scores_;
-  const int dim_;
-  std::vector<int> order_;
-  std::vector<Node> nodes_;
-  double* const probs_;  // result->instance_probs, disjoint subtree writes
-  ParallelExecutor* const executor_;  // null = serial
-  const int frontier_depth_;
+  std::vector<KdNode> nodes_;
 };
 
 // Solver façade over both traversal modes; "kdtt+" fuses construction with
@@ -267,55 +137,12 @@ class KdttSolver : public ArspSolver {
 
  protected:
   StatusOr<ArspResult> SolveImpl(ExecutionContext& context) override {
-    const DatasetView& view = context.view();
-    ArspResult result;
-    result.instance_probs.assign(
-        static_cast<size_t>(view.num_instances()), 0.0);
-    if (view.num_instances() == 0) return result;
-    const ScoreSpan scores = context.scores();
-    GoalPruner pruner(context.goal(), view, &scores);
-    GoalPruner* active = pruner.active() ? &pruner : nullptr;
-
-    std::optional<internal::SharedGoalState> shared;
-    std::optional<ParallelExecutor> executor;
-    if (parallelism_ >= 2) {
-      shared.emplace(active);
-      executor.emplace(parallelism_, view.num_objects(), &*shared,
-                       scores.objects);
-      if (!executor->parallel()) {  // core budget granted a single worker
-        executor.reset();
-        shared.reset();
-      }
+    if (integrated_) {
+      return internal::SolveAspTraversal(context, parallelism_,
+                                         frontier_depth_, MedianSplit());
     }
-    if (executor.has_value()) {
-      const int frontier =
-          frontier_depth_ > 0
-              ? frontier_depth_
-              : internal::DefaultFrontierDepth(2, executor->num_workers());
-      KdAspRunner runner(scores, result.instance_probs.data(), &*executor,
-                         frontier);
-      if (integrated_) {
-        runner.RunIntegrated(executor->main_lane());
-      } else {
-        runner.RunPrebuilt(executor->main_lane());
-      }
-      executor->RunAndWait();
-      executor->MergedCounters().StoreInto(&result);
-      result.tasks_spawned = executor->tasks_spawned();
-      result.tasks_stolen = executor->tasks_stolen();
-      result.parallel_workers = executor->num_workers();
-    } else {
-      TraversalLane lane(view.num_objects(), GoalChannel(active));
-      KdAspRunner runner(scores, result.instance_probs.data(), nullptr, 0);
-      if (integrated_) {
-        runner.RunIntegrated(lane);
-      } else {
-        runner.RunPrebuilt(lane);
-      }
-      lane.counters.StoreInto(&result);
-    }
-    pruner.Finish(&result);
-    return result;
+    return internal::SolveAspTraversal(context, parallelism_, frontier_depth_,
+                                       PrebuiltKdSplit());
   }
 
  private:

@@ -4,12 +4,9 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
-#include <optional>
-#include <utility>
+#include <string>
 #include <vector>
 
-#include "src/core/asp_traversal_state.h"
 #include "src/core/parallel_traversal.h"
 #include "src/core/solver.h"
 #include "src/prefs/score_mapper.h"
@@ -18,117 +15,35 @@ namespace arsp {
 
 namespace {
 
-using internal::AspTraversalState;
-using internal::GoalChannel;
-using internal::ParallelExecutor;
-using internal::PathChain;
-using internal::TraversalLane;
+using internal::NodeBox;
+using internal::RowRange;
 
-// Runs over the context's SoA score storage; see KdAspRunner for the
-// conventions (row index == local instance id, view-local object ids) and
-// for the frontier-spawning parallel scheme — here each slab at the
-// frontier becomes one task.
-class MultiWayAspRunner {
- public:
-  MultiWayAspRunner(ScoreSpan scores, int fanout, double* probs,
-                    ParallelExecutor* executor, int frontier_depth)
-      : scores_(scores),
-        dim_(scores.dim),
-        order_(static_cast<size_t>(scores.n)),
-        fanout_(fanout),
-        probs_(probs),
-        executor_(executor),
-        frontier_depth_(frontier_depth) {
+// MWTT: sort a node's rows along its widest dimension and cut them into
+// `fanout` equal slabs (1-D STR slicing). Slabs inherit small extents on
+// the split dimension, improving min-corner dominance tests.
+struct SlabSplit : internal::RangeSplit {
+  explicit SlabSplit(int fanout_in) : fanout(fanout_in) {
     ARSP_CHECK_MSG(fanout >= 2, "MWTT fanout must be >= 2 (got %d)", fanout);
-    std::iota(order_.begin(), order_.end(), 0);
   }
 
-  void Run(TraversalLane& lane) {
-    if (scores_.n == 0) return;
-    std::vector<int> candidates(order_);
-    Recurse(lane, 0, scores_.n, candidates, 1, nullptr);
-  }
+  int BranchFactor(int /*dim*/) const { return fanout; }
 
- private:
-  void Recurse(TraversalLane& lane, int begin, int end,
-               const std::vector<int>& parent_candidates, int depth,
-               const std::shared_ptr<const PathChain>& chain) {
-    if (lane.SkipSubtree(order_, begin, end, depth)) return;
-    ++lane.counters.nodes_visited;
-    std::vector<double> pmin, pmax;
-    internal::ComputeScoreCorners(scores_, order_, begin, end, &pmin, &pmax);
-
-    const bool capture = executor_ != nullptr && depth < frontier_depth_;
-    std::vector<std::pair<int, double>> adds;
-    std::vector<int> kept;
-    std::vector<AspTraversalState::Change> undo_log;
-    internal::FilterAspCandidates(scores_, parent_candidates, pmin.data(),
-                                  pmax.data(), &lane.state, &kept, &undo_log,
-                                  &lane.class_scratch, &lane.counters,
-                                  capture ? &adds : nullptr);
-
-    if (!internal::HandleAspTerminal(scores_, order_, begin, end, pmin.data(),
-                                     pmax.data(), lane.state, probs_,
-                                     &lane.counters, &lane.channel)) {
-      // Sort the range along the widest dimension and recurse on `fanout`
-      // equal slabs (1-D STR slicing). Slabs inherit small extents on the
-      // split dimension, improving min-corner dominance tests.
-      int split_dim = 0;
-      double widest = -1.0;
-      for (int k = 0; k < dim_; ++k) {
-        if (pmax[static_cast<size_t>(k)] - pmin[static_cast<size_t>(k)] >
-            widest) {
-          widest = pmax[static_cast<size_t>(k)] - pmin[static_cast<size_t>(k)];
-          split_dim = k;
-        }
-      }
-      std::sort(order_.begin() + begin, order_.begin() + end,
-                [this, split_dim](int a, int b) {
-                  return scores_.row(a)[split_dim] <
-                         scores_.row(b)[split_dim];
-                });
-      const int total = end - begin;
-      const int slab = std::max(1, (total + fanout_ - 1) / fanout_);
-      const bool spawn = capture && depth + 1 == frontier_depth_;
-      std::shared_ptr<const PathChain> node_chain;
-      std::shared_ptr<const std::vector<int>> shared_kept;
-      if (capture) {
-        node_chain = std::make_shared<const PathChain>(chain, std::move(adds));
-        if (spawn) {
-          shared_kept =
-              std::make_shared<const std::vector<int>>(std::move(kept));
-        }
-      }
-      for (int chunk = begin; chunk < end; chunk += slab) {
-        const int chunk_end = std::min(end, chunk + slab);
-        if (spawn) {
-          Spawn(node_chain, chunk, chunk_end, shared_kept);
-        } else {
-          Recurse(lane, chunk, chunk_end, kept, depth + 1, node_chain);
-        }
-      }
+  template <typename Emit>
+  void ForEachChild(const RowRange& node, const NodeBox& box,
+                    const ScoreSpan& scores, std::vector<int>* order,
+                    Emit&& emit) const {
+    const int split_dim = internal::WidestDim(box, scores.dim);
+    std::sort(order->begin() + node.begin, order->begin() + node.end,
+              [&scores, split_dim](int a, int b) {
+                return scores.row(a)[split_dim] < scores.row(b)[split_dim];
+              });
+    const int slab = std::max(1, (node.end - node.begin + fanout - 1) / fanout);
+    for (int chunk = node.begin; chunk < node.end; chunk += slab) {
+      emit(RowRange{chunk, std::min(node.end, chunk + slab)});
     }
-    lane.state.Undo(undo_log);
   }
 
-  void Spawn(const std::shared_ptr<const PathChain>& chain, int begin,
-             int end, const std::shared_ptr<const std::vector<int>>& kept) {
-    executor_->Spawn([this, chain, begin, end, kept](TraversalLane& lane) {
-      if (lane.stopped) return;  // global goal-met: skip even the replay
-      std::vector<AspTraversalState::Change> replay_log;
-      chain->Replay(&lane.state, &replay_log);
-      Recurse(lane, begin, end, *kept, frontier_depth_, nullptr);
-      lane.state.Undo(replay_log);
-    });
-  }
-
-  const ScoreSpan scores_;
-  const int dim_;
-  std::vector<int> order_;
-  const int fanout_;
-  double* const probs_;  // result->instance_probs, disjoint subtree writes
-  ParallelExecutor* const executor_;  // null = serial
-  const int frontier_depth_;
+  int fanout;
 };
 
 class MwttSolver : public ArspSolver {
@@ -163,49 +78,8 @@ class MwttSolver : public ArspSolver {
 
  protected:
   StatusOr<ArspResult> SolveImpl(ExecutionContext& context) override {
-    const DatasetView& view = context.view();
-    ArspResult result;
-    result.instance_probs.assign(
-        static_cast<size_t>(view.num_instances()), 0.0);
-    if (view.num_instances() == 0) return result;
-    const ScoreSpan scores = context.scores();
-    GoalPruner pruner(context.goal(), view, &scores);
-    GoalPruner* active = pruner.active() ? &pruner : nullptr;
-
-    std::optional<internal::SharedGoalState> shared;
-    std::optional<ParallelExecutor> executor;
-    if (parallelism_ >= 2) {
-      shared.emplace(active);
-      executor.emplace(parallelism_, view.num_objects(), &*shared,
-                       scores.objects);
-      if (!executor->parallel()) {  // core budget granted a single worker
-        executor.reset();
-        shared.reset();
-      }
-    }
-    if (executor.has_value()) {
-      const int frontier =
-          frontier_depth_ > 0
-              ? frontier_depth_
-              : internal::DefaultFrontierDepth(fanout_,
-                                               executor->num_workers());
-      MultiWayAspRunner runner(scores, fanout_, result.instance_probs.data(),
-                               &*executor, frontier);
-      runner.Run(executor->main_lane());
-      executor->RunAndWait();
-      executor->MergedCounters().StoreInto(&result);
-      result.tasks_spawned = executor->tasks_spawned();
-      result.tasks_stolen = executor->tasks_stolen();
-      result.parallel_workers = executor->num_workers();
-    } else {
-      TraversalLane lane(view.num_objects(), GoalChannel(active));
-      MultiWayAspRunner runner(scores, fanout_, result.instance_probs.data(),
-                               nullptr, 0);
-      runner.Run(lane);
-      lane.counters.StoreInto(&result);
-    }
-    pruner.Finish(&result);
-    return result;
+    return internal::SolveAspTraversal(context, parallelism_, frontier_depth_,
+                                       SlabSplit(fanout_));
   }
 
  private:

@@ -1,25 +1,22 @@
 // Copyright 2026 The ARSP Authors.
 //
-// Intra-query parallel traversal driver for the kd/quad/multi-way ASP
-// solvers. The serial traversals are pre-order walks whose per-subtree work
-// touches only (a) the subtree's slice of the shared `order` permutation,
-// (b) the instance_probs entries of that slice, and (c) the lane-private
-// (σ, β, χ) state — so a subtree is a self-contained work item once the
-// root→subtree σ path has been replayed. The driver:
+// The one σ/β/χ traversal behind KDTT, KDTT+, QDTT+ and MWTT (Pei et al.'s
+// instance-counting walk of Algorithm 1), separated from the space
+// partition it runs over. A solver supplies only a *split* — how a node's
+// rows divide into children — and AspWalker<Split> owns every step of the
+// per-node visit; SolveAspTraversal owns the per-solve setup around it.
 //
-//  * splits the traversal at a *frontier depth* D: the walk above D runs on
-//    the calling thread (lane 0) as in serial, and every child subtree at
-//    depth D becomes one TaskArena task;
-//  * hands each task a PathChain — the chain of per-node (object, prob)
-//    Add-deltas from the root to the subtree — which the task replays into
-//    its lane's state before descending. Replay performs the exact same
-//    Add calls in the exact same order as the serial walk, and Add/Undo
-//    are bitwise-exact, so the subtree computes bit-identical values no
-//    matter which lane runs it;
-//  * merges lanes at the end: instance probabilities need no merge at all
-//    (disjoint writes — the canonical node-index order of the output array
-//    IS the merge order), and counters are associative sums (see
-//    TraversalCounters).
+// Parallelism is the same walker with an executor. The walk above a
+// *frontier depth* D runs on the calling thread (lane 0) as in serial, and
+// every child subtree at depth D becomes one TaskArena task. Each task
+// carries a PathChain — the per-node (object, prob) Add-deltas from the
+// root to the subtree — which it replays into its lane's state before
+// descending. Replay performs the exact Add calls of the serial walk in the
+// same order, and Add/Undo are bitwise-exact, so a subtree computes
+// bit-identical values whichever lane runs it. A subtree touches only its
+// own slice of the shared `order` permutation and the instance_probs
+// entries of that slice, so lanes write disjoint entries and need no merge;
+// counters are associative sums (see TraversalCounters).
 //
 // Goal pushdown under parallelism flows through SharedGoalState (declared
 // in asp_traversal_state.h, defined here): lanes buffer resolutions and
@@ -34,12 +31,15 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "src/common/macros.h"
 #include "src/common/task_arena.h"
 #include "src/core/asp_traversal_state.h"
+#include "src/core/solver.h"
 
 namespace arsp {
 namespace internal {
@@ -88,12 +88,11 @@ int DefaultFrontierDepth(int branch_factor, int workers);
 inline constexpr int kTaskFactor = 8;
 
 /// Ties a TaskArena to one TraversalLane per worker. Lane 0 belongs to the
-/// calling thread: the runner descends to the frontier on it (helpers
+/// calling thread: the walker descends to the frontier on it (helpers
 /// execute frontier tasks concurrently on lanes 1..W-1), and after the
 /// descent unwinds, lane 0's pristine state lets the caller join task
 /// execution in RunAndWait(). Construct once per solve; `parallel()` false
-/// (budget granted a single worker) means callers should take their pure
-/// serial path and skip task capture entirely.
+/// (budget granted a single worker) means the solve runs serially instead.
 class ParallelExecutor {
  public:
   /// `shared` may be null or inert (full goal): lanes then get inactive
@@ -154,6 +153,203 @@ class ParallelExecutor {
   // references, and only the constructor appends.
   std::deque<TraversalLane> lanes_;
 };
+
+/// Rows order[begin..end) of the walker's `order` permutation.
+struct RowRange {
+  int begin, end;
+};
+
+/// A node's tight score corners; valid for the duration of its visit.
+struct NodeBox {
+  const double* pmin;
+  const double* pmax;
+};
+
+/// The dimension of largest extent pmax - pmin (the first on ties).
+inline int WidestDim(const NodeBox& box, int dim) {
+  int widest_dim = 0;
+  double widest = -1.0;
+  for (int k = 0; k < dim; ++k) {
+    const double extent = box.pmax[k] - box.pmin[k];
+    if (extent > widest) {
+      widest = extent;
+      widest_dim = k;
+    }
+  }
+  return widest_dim;
+}
+
+/// The Split base of every construction-fused traversal (KDTT+, QDTT+,
+/// MWTT): nodes are row ranges whose corners are computed on each visit.
+/// Derived splits add BranchFactor and ForEachChild (see AspWalker).
+struct RangeSplit {
+  using Node = RowRange;
+
+  RowRange Root(const ScoreSpan& scores, std::vector<int>* /*order*/) const {
+    return RowRange{0, scores.n};
+  }
+  RowRange Rows(const RowRange& node) const { return node; }
+  NodeBox Corners(const RowRange& node, const ScoreSpan& scores,
+                  const std::vector<int>& order, std::vector<double>* pmin,
+                  std::vector<double>* pmax) const {
+    ComputeScoreCorners(scores, order, node.begin, node.end, pmin, pmax);
+    return NodeBox{pmin->data(), pmax->data()};
+  }
+};
+
+/// The frontier walker: one pre-order σ/β/χ traversal over the nodes a
+/// Split yields. With a null executor it is the serial walk; otherwise
+/// nodes above `frontier_depth` record their Add-deltas and the children
+/// of depth frontier_depth - 1 become executor tasks. Split is a template
+/// parameter, so the per-node calls into it are static. It supplies:
+///   using Node;                   a cheap-to-copy subtree handle
+///   int BranchFactor(int dim);    typical fan-out, for the auto frontier
+///   Node Root(scores, &order);    may build storage first (KDTT)
+///   RowRange Rows(node);
+///   NodeBox Corners(node, scores, order, &pmin, &pmax);
+///   void ForEachChild(node, box, scores, &order, emit);
+/// Corners may fill the scratch vectors or point into the split's own
+/// storage. ForEachChild calls emit(child) in child order and may permute
+/// `order` only within the node's rows; it runs on several lanes at once
+/// (on disjoint nodes), so it must not mutate the split.
+template <typename Split>
+class AspWalker {
+ public:
+  using Node = typename Split::Node;
+
+  AspWalker(Split split, ScoreSpan scores, double* probs,
+            ParallelExecutor* executor, int frontier_depth)
+      : split_(std::move(split)),
+        scores_(scores),
+        order_(static_cast<size_t>(scores.n)),
+        probs_(probs),
+        executor_(executor),
+        frontier_depth_(frontier_depth) {
+    std::iota(order_.begin(), order_.end(), 0);
+  }
+
+  void Run(TraversalLane& lane) {
+    const Node root = split_.Root(scores_, &order_);
+    const std::vector<int> candidates(order_);
+    Visit(lane, root, candidates, 1, nullptr);
+  }
+
+ private:
+  void Visit(TraversalLane& lane, const Node& node,
+             const std::vector<int>& parent_candidates, int depth,
+             const std::shared_ptr<const PathChain>& chain) {
+    const RowRange rows = split_.Rows(node);
+    if (lane.SkipSubtree(order_, rows.begin, rows.end, depth)) return;
+    ++lane.counters.nodes_visited;
+    std::vector<double> pmin, pmax;
+    const NodeBox box = split_.Corners(node, scores_, order_, &pmin, &pmax);
+
+    // Above the frontier, record this node's Add-deltas so frontier tasks
+    // can replay the root→subtree path. Inside a task depth starts at the
+    // frontier, so capture (and spawning) never re-fires there.
+    const bool capture = executor_ != nullptr && depth < frontier_depth_;
+    std::vector<std::pair<int, double>> adds;
+    std::vector<int> kept;
+    std::vector<AspTraversalState::Change> undo_log;
+    FilterAspCandidates(scores_, parent_candidates, box.pmin, box.pmax,
+                        &lane.state, &kept, &undo_log, &lane.class_scratch,
+                        &lane.counters, capture ? &adds : nullptr);
+
+    if (!HandleAspTerminal(scores_, order_, rows.begin, rows.end, box.pmin,
+                           box.pmax, lane.state, probs_, &lane.counters,
+                           &lane.channel)) {
+      std::shared_ptr<const PathChain> node_chain;
+      std::shared_ptr<const std::vector<int>> shared_kept;
+      if (capture) {
+        node_chain = std::make_shared<const PathChain>(chain, std::move(adds));
+        if (depth + 1 == frontier_depth_) {
+          shared_kept =
+              std::make_shared<const std::vector<int>>(std::move(kept));
+        }
+      }
+      split_.ForEachChild(node, box, scores_, &order_, [&](const Node& child) {
+        if (shared_kept != nullptr) {
+          SpawnSubtree(child, node_chain, shared_kept);
+        } else {
+          Visit(lane, child, kept, depth + 1, node_chain);
+        }
+      });
+    }
+    lane.state.Undo(undo_log);
+  }
+
+  void SpawnSubtree(const Node& node,
+                    const std::shared_ptr<const PathChain>& chain,
+                    const std::shared_ptr<const std::vector<int>>& kept) {
+    executor_->Spawn([this, node, chain, kept](TraversalLane& lane) {
+      if (lane.stopped) return;  // global goal-met: skip even the replay
+      std::vector<AspTraversalState::Change> replay_log;
+      chain->Replay(&lane.state, &replay_log);
+      Visit(lane, node, *kept, frontier_depth_, nullptr);
+      lane.state.Undo(replay_log);
+    });
+  }
+
+  Split split_;  // Root() may build storage; const during the walk
+  const ScoreSpan scores_;
+  std::vector<int> order_;  // subtrees permute disjoint slices
+  double* const probs_;     // result->instance_probs, disjoint writes
+  ParallelExecutor* const executor_;  // null = serial
+  const int frontier_depth_;
+};
+
+/// Solves the context's query with an AspWalker over `split`: sets up the
+/// goal pruner, then runs the walker on a ParallelExecutor when
+/// `parallelism` >= 2 and the core budget grants at least two workers, and
+/// on a single serial lane otherwise. `frontier_depth` 0 picks
+/// DefaultFrontierDepth from the split's branch factor.
+template <typename Split>
+ArspResult SolveAspTraversal(ExecutionContext& context, int parallelism,
+                             int frontier_depth, Split split) {
+  const DatasetView& view = context.view();
+  ArspResult result;
+  result.instance_probs.assign(static_cast<size_t>(view.num_instances()),
+                               0.0);
+  if (view.num_instances() == 0) return result;
+  const ScoreSpan scores = context.scores();
+  GoalPruner pruner(context.goal(), view, &scores);
+  GoalPruner* active = pruner.active() ? &pruner : nullptr;
+
+  std::optional<SharedGoalState> shared;
+  std::optional<ParallelExecutor> executor;
+  std::optional<TraversalLane> serial_lane;
+  if (parallelism >= 2) {
+    shared.emplace(active);
+    executor.emplace(parallelism, view.num_objects(), &*shared,
+                     scores.objects);
+    if (!executor->parallel()) {  // core budget granted a single worker
+      executor.reset();
+      shared.reset();
+    }
+  }
+  if (!executor.has_value()) {
+    serial_lane.emplace(view.num_objects(), GoalChannel(active));
+  } else if (frontier_depth == 0) {
+    frontier_depth = DefaultFrontierDepth(split.BranchFactor(scores.dim),
+                                          executor->num_workers());
+  }
+  AspWalker<Split> walker(std::move(split), scores,
+                          result.instance_probs.data(),
+                          executor.has_value() ? &*executor : nullptr,
+                          frontier_depth);
+  walker.Run(executor.has_value() ? executor->main_lane() : *serial_lane);
+  if (executor.has_value()) {
+    executor->RunAndWait();
+    executor->MergedCounters().StoreInto(&result);
+    result.tasks_spawned = executor->tasks_spawned();
+    result.tasks_stolen = executor->tasks_stolen();
+    result.parallel_workers = executor->num_workers();
+  } else {
+    serial_lane->counters.StoreInto(&result);
+  }
+  pruner.Finish(&result);
+  return result;
+}
 
 }  // namespace internal
 }  // namespace arsp

@@ -5,12 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <numeric>
-#include <optional>
-#include <utility>
 #include <vector>
 
-#include "src/core/asp_traversal_state.h"
 #include "src/core/parallel_traversal.h"
 #include "src/core/solver.h"
 #include "src/prefs/score_mapper.h"
@@ -19,128 +15,56 @@ namespace arsp {
 
 namespace {
 
-using internal::AspTraversalState;
-using internal::GoalChannel;
-using internal::ParallelExecutor;
-using internal::PathChain;
-using internal::TraversalLane;
+using internal::NodeBox;
+using internal::RowRange;
 
-// Runs over the context's SoA score storage; see KdAspRunner for the
-// conventions (row index == local instance id, view-local object ids) and
-// for the frontier-spawning parallel scheme — here each non-empty quadrant
-// chunk at the frontier becomes one task.
-class QuadAspRunner {
- public:
-  QuadAspRunner(ScoreSpan scores, double* probs, ParallelExecutor* executor,
-                int frontier_depth)
-      : scores_(scores),
-        dim_(scores.dim),
-        order_(static_cast<size_t>(scores.n)),
-        probs_(probs),
-        executor_(executor),
-        frontier_depth_(frontier_depth) {
-    ARSP_CHECK_MSG(scores_.n == 0 || dim_ <= 63,
+// QDTT+: partition a node's rows into quadrants around its box center by
+// sorting on the quadrant code; only non-empty quadrants become children
+// (no 2^{d'} allocation, though the fan-out still hurts in high
+// dimensions).
+struct QuadrantSplit : internal::RangeSplit {
+  // Quadrant fan-out is at most 2^d' but usually far smaller; estimate
+  // conservatively so auto depth lands near the task-count target.
+  int BranchFactor(int dim) const { return std::min(8, 1 << std::min(dim, 3)); }
+
+  RowRange Root(const ScoreSpan& scores, std::vector<int>* order) const {
+    ARSP_CHECK_MSG(scores.dim <= 63,
                    "QDTT+ quadrant codes support at most 63 mapped "
                    "dimensions; use KDTT+ or B&B for larger vertex sets");
-    std::iota(order_.begin(), order_.end(), 0);
+    return RangeSplit::Root(scores, order);
   }
 
-  void Run(TraversalLane& lane) {
-    if (scores_.n == 0) return;
-    std::vector<int> candidates(order_);
-    Recurse(lane, 0, scores_.n, candidates, 1, nullptr);
-  }
-
- private:
-  uint64_t QuadrantCode(const double* p, const double* center) const {
-    uint64_t code = 0;
-    for (int k = 0; k < dim_; ++k) {
-      code = (code << 1) | (p[k] > center[k] ? 1u : 0u);
+  template <typename Emit>
+  void ForEachChild(const RowRange& node, const NodeBox& box,
+                    const ScoreSpan& scores, std::vector<int>* order,
+                    Emit&& emit) const {
+    const int dim = scores.dim;
+    std::vector<double> center(static_cast<size_t>(dim));
+    for (int k = 0; k < dim; ++k) {
+      center[static_cast<size_t>(k)] = 0.5 * (box.pmin[k] + box.pmax[k]);
     }
-    return code;
-  }
-
-  void Recurse(TraversalLane& lane, int begin, int end,
-               const std::vector<int>& parent_candidates, int depth,
-               const std::shared_ptr<const PathChain>& chain) {
-    if (lane.SkipSubtree(order_, begin, end, depth)) return;
-    ++lane.counters.nodes_visited;
-    std::vector<double> pmin, pmax;
-    internal::ComputeScoreCorners(scores_, order_, begin, end, &pmin, &pmax);
-
-    const bool capture = executor_ != nullptr && depth < frontier_depth_;
-    std::vector<std::pair<int, double>> adds;
-    std::vector<int> kept;
-    std::vector<AspTraversalState::Change> undo_log;
-    internal::FilterAspCandidates(scores_, parent_candidates, pmin.data(),
-                                  pmax.data(), &lane.state, &kept, &undo_log,
-                                  &lane.class_scratch, &lane.counters,
-                                  capture ? &adds : nullptr);
-
-    if (!internal::HandleAspTerminal(scores_, order_, begin, end, pmin.data(),
-                                     pmax.data(), lane.state, probs_,
-                                     &lane.counters, &lane.channel)) {
-      // Partition the range into quadrants around the box center by sorting
-      // on the quadrant code; only non-empty quadrants recurse (no 2^{d'}
-      // allocation, though the fan-out still hurts in high dimensions).
-      std::vector<double> center(static_cast<size_t>(dim_));
-      for (int k = 0; k < dim_; ++k) {
-        center[static_cast<size_t>(k)] =
-            0.5 * (pmin[static_cast<size_t>(k)] + pmax[static_cast<size_t>(k)]);
+    const auto code = [&scores, &center, dim](int row) {
+      const double* p = scores.row(row);
+      uint64_t bits = 0;
+      for (int k = 0; k < dim; ++k) {
+        bits = (bits << 1) | (p[k] > center[static_cast<size_t>(k)] ? 1u : 0u);
       }
-      std::sort(order_.begin() + begin, order_.begin() + end,
-                [this, &center](int a, int b) {
-                  return QuadrantCode(scores_.row(a), center.data()) <
-                         QuadrantCode(scores_.row(b), center.data());
-                });
-      const bool spawn = capture && depth + 1 == frontier_depth_;
-      std::shared_ptr<const PathChain> node_chain;
-      std::shared_ptr<const std::vector<int>> shared_kept;
-      if (capture) {
-        node_chain = std::make_shared<const PathChain>(chain, std::move(adds));
-        if (spawn) {
-          shared_kept =
-              std::make_shared<const std::vector<int>>(std::move(kept));
-        }
+      return bits;
+    };
+    std::sort(order->begin() + node.begin, order->begin() + node.end,
+              [&code](int a, int b) { return code(a) < code(b); });
+    int chunk = node.begin;
+    while (chunk < node.end) {
+      const uint64_t chunk_code = code((*order)[static_cast<size_t>(chunk)]);
+      int chunk_end = chunk + 1;
+      while (chunk_end < node.end &&
+             code((*order)[static_cast<size_t>(chunk_end)]) == chunk_code) {
+        ++chunk_end;
       }
-      int chunk = begin;
-      while (chunk < end) {
-        const uint64_t code = QuadrantCode(
-            scores_.row(order_[static_cast<size_t>(chunk)]), center.data());
-        int chunk_end = chunk + 1;
-        while (chunk_end < end &&
-               QuadrantCode(scores_.row(order_[static_cast<size_t>(chunk_end)]),
-                            center.data()) == code) {
-          ++chunk_end;
-        }
-        if (spawn) {
-          Spawn(node_chain, chunk, chunk_end, shared_kept);
-        } else {
-          Recurse(lane, chunk, chunk_end, kept, depth + 1, node_chain);
-        }
-        chunk = chunk_end;
-      }
+      emit(RowRange{chunk, chunk_end});
+      chunk = chunk_end;
     }
-    lane.state.Undo(undo_log);
   }
-
-  void Spawn(const std::shared_ptr<const PathChain>& chain, int begin,
-             int end, const std::shared_ptr<const std::vector<int>>& kept) {
-    executor_->Spawn([this, chain, begin, end, kept](TraversalLane& lane) {
-      if (lane.stopped) return;  // global goal-met: skip even the replay
-      std::vector<AspTraversalState::Change> replay_log;
-      chain->Replay(&lane.state, &replay_log);
-      Recurse(lane, begin, end, *kept, frontier_depth_, nullptr);
-      lane.state.Undo(replay_log);
-    });
-  }
-
-  const ScoreSpan scores_;
-  const int dim_;
-  std::vector<int> order_;
-  double* const probs_;  // result->instance_probs, disjoint subtree writes
-  ParallelExecutor* const executor_;  // null = serial
-  const int frontier_depth_;
 };
 
 class QdttSolver : public ArspSolver {
@@ -167,51 +91,8 @@ class QdttSolver : public ArspSolver {
 
  protected:
   StatusOr<ArspResult> SolveImpl(ExecutionContext& context) override {
-    const DatasetView& view = context.view();
-    ArspResult result;
-    result.instance_probs.assign(
-        static_cast<size_t>(view.num_instances()), 0.0);
-    if (view.num_instances() == 0) return result;
-    const ScoreSpan scores = context.scores();
-    GoalPruner pruner(context.goal(), view, &scores);
-    GoalPruner* active = pruner.active() ? &pruner : nullptr;
-
-    std::optional<internal::SharedGoalState> shared;
-    std::optional<ParallelExecutor> executor;
-    if (parallelism_ >= 2) {
-      shared.emplace(active);
-      executor.emplace(parallelism_, view.num_objects(), &*shared,
-                       scores.objects);
-      if (!executor->parallel()) {  // core budget granted a single worker
-        executor.reset();
-        shared.reset();
-      }
-    }
-    if (executor.has_value()) {
-      // Quadrant fan-out is at most 2^d' but usually far smaller; estimate
-      // conservatively so auto depth lands near the task-count target.
-      const int branch = std::min(8, 1 << std::min(scores.dim, 3));
-      const int frontier =
-          frontier_depth_ > 0
-              ? frontier_depth_
-              : internal::DefaultFrontierDepth(branch,
-                                               executor->num_workers());
-      QuadAspRunner runner(scores, result.instance_probs.data(), &*executor,
-                           frontier);
-      runner.Run(executor->main_lane());
-      executor->RunAndWait();
-      executor->MergedCounters().StoreInto(&result);
-      result.tasks_spawned = executor->tasks_spawned();
-      result.tasks_stolen = executor->tasks_stolen();
-      result.parallel_workers = executor->num_workers();
-    } else {
-      TraversalLane lane(view.num_objects(), GoalChannel(active));
-      QuadAspRunner runner(scores, result.instance_probs.data(), nullptr, 0);
-      runner.Run(lane);
-      lane.counters.StoreInto(&result);
-    }
-    pruner.Finish(&result);
-    return result;
+    return internal::SolveAspTraversal(context, parallelism_, frontier_depth_,
+                                       QuadrantSplit());
   }
 
  private:

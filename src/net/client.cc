@@ -77,8 +77,8 @@ StatusOr<ArspClient> ArspClient::Connect(const std::string& host, int port) {
       status = Status::OK();
       break;
     }
-    status = Status::Internal("connect " + host + ":" + port_str + ": " +
-                              std::strerror(errno));
+    status = Status::Unavailable("connect " + host + ":" + port_str + ": " +
+                                 std::strerror(errno));
     ::close(fd);
     fd = -1;
   }
@@ -89,13 +89,30 @@ StatusOr<ArspClient> ArspClient::Connect(const std::string& host, int port) {
   return client;
 }
 
+Status ArspClient::Disconnect(const Status& cause) {
+  Close();
+  return Status::Unavailable("connection lost: " + cause.message());
+}
+
 StatusOr<Frame> ArspClient::RoundTrip(MessageType type,
                                       const std::string& payload,
                                       MessageType expect) {
   if (fd_ < 0) return Status::FailedPrecondition("client is not connected");
-  ARSP_RETURN_IF_ERROR(SendFrame(fd_, type, payload));
+  const Status sent = SendFrame(fd_, type, payload);
+  if (!sent.ok()) {
+    // An oversized payload is refused before any byte is written; any other
+    // send failure leaves the stream in an unknown state.
+    return sent.code() == StatusCode::kInvalidArgument ? sent
+                                                       : Disconnect(sent);
+  }
   StatusOr<Frame> frame = RecvFrame(fd_);
-  if (!frame.ok()) return frame.status();
+  if (!frame.ok()) {
+    if (frame.status().code() != StatusCode::kInvalidArgument) {
+      return Disconnect(frame.status());  // I/O error or peer close
+    }
+    Close();  // a malformed or truncated frame: the framing is lost
+    return frame.status();
+  }
   if (frame->type == MessageType::kError) {
     ErrorResponse error;
     const Status st = error.DecodePayload(frame->payload);

@@ -37,7 +37,8 @@ class ArspClient {
   ArspClient(const ArspClient&) = delete;
   ArspClient& operator=(const ArspClient&) = delete;
 
-  /// Connects to host:port. Internal on resolution/connection failure.
+  /// Connects to host:port. Internal when the host does not resolve,
+  /// Unavailable when no connection can be made.
   static StatusOr<ArspClient> Connect(const std::string& host, int port);
 
   bool connected() const { return fd_ >= 0; }
@@ -77,9 +78,15 @@ class ArspClient {
  private:
   /// Sends one request frame and receives the response. kError responses
   /// decode into their carried Status; a response of any type other than
-  /// `expect` is an Internal protocol error.
+  /// `expect` is an Internal protocol error. A transport failure (I/O
+  /// error, peer close) closes the connection and returns Unavailable; a
+  /// malformed response frame closes it too, keeping its InvalidArgument.
+  /// After a failure, connected() tells whether the connection is reusable.
   StatusOr<Frame> RoundTrip(MessageType type, const std::string& payload,
                             MessageType expect);
+
+  /// Closes the connection and returns Unavailable naming `cause`.
+  Status Disconnect(const Status& cause);
 
   int fd_ = -1;
 };

@@ -8,9 +8,13 @@
 // the same data; a repeated query is a cache hit; and the index-work
 // counters prove the dataset was indexed exactly once across all
 // connections. Also covered: the daemon surviving malformed loads, name
-// fingerprinting, drop cascades, and clean shutdown.
+// fingerprinting, drop cascades, clean shutdown, and a client's typed
+// failure when its peer hangs up.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <fstream>
 
@@ -478,6 +482,36 @@ TEST_F(NetLoopbackTest, ShutdownMessageDrainsTheServer) {
     // backlog remnants; any request must then fail.
     EXPECT_FALSE(late->Ping().ok());
   }
+}
+
+// A peer that accepts and hangs up is a transport failure: the client
+// reports Unavailable (not the framing layer's NotFound EOF sentinel) and
+// closes its end, so a connection pool never reuses it.
+TEST(NetClientTest, PeerCloseIsUnavailableAndDisconnects) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;  // ephemeral
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                          &addr_len),
+            0);
+
+  auto client = net::ArspClient::Connect("127.0.0.1", ntohs(addr.sin_port));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const int accepted = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(accepted, 0);
+  ::close(accepted);
+  ::close(listener);
+
+  const Status ping = client->Ping();
+  EXPECT_EQ(ping.code(), StatusCode::kUnavailable) << ping.ToString();
+  EXPECT_FALSE(client->connected());
 }
 
 }  // namespace

@@ -37,6 +37,9 @@ using testing_util::WrRegion;
 
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
 
+// Frontier depths swept for the solvers that take the option; 0 = auto.
+constexpr int kFrontierDepths[] = {0, 2, 4};
+
 // Probabilities of goal-pushed answers may carry per-run β drift (skipped
 // subtrees depend on when pruning snapshots publish); identity and order
 // may not.
@@ -51,13 +54,15 @@ class ScopedBudget {
 };
 
 std::unique_ptr<ArspSolver> MakeSolver(const std::string& name,
-                                       int parallelism) {
+                                       int parallelism,
+                                       int frontier_depth = 0) {
   auto solver = SolverRegistry::Create(name);
   EXPECT_TRUE(solver.ok()) << name;
   if (!solver.ok()) return nullptr;
   if (parallelism > 0) {
     SolverOptions options;
     options.SetInt("parallelism", parallelism);
+    if (frontier_depth > 0) options.SetInt("frontier_depth", frontier_depth);
     const Status configured = (*solver)->Configure(options);
     EXPECT_TRUE(configured.ok()) << name << ": " << configured.ToString();
     if (!configured.ok()) return nullptr;
@@ -88,9 +93,29 @@ void ExpectRankedEquivalent(
   }
 }
 
-// Full-goal sweep over one context: serial vs every thread count, bitwise;
-// a repeated run checks the task-spawn count is deterministic (steal counts
-// are scheduling noise and deliberately never compared).
+// Lanes sum (or max) the counters of exactly the serial run's visits, so a
+// parallel full solve reports the serial work whatever the decomposition.
+void ExpectSameWork(const ArspResult& serial, const ArspResult& parallel,
+                    const std::string& label) {
+  EXPECT_EQ(serial.dominance_tests, parallel.dominance_tests) << label;
+  EXPECT_EQ(serial.nodes_visited, parallel.nodes_visited) << label;
+  EXPECT_EQ(serial.nodes_pruned, parallel.nodes_pruned) << label;
+  EXPECT_EQ(serial.early_exit_depth, parallel.early_exit_depth) << label;
+}
+
+// Whether `name` takes the frontier_depth option (the frontier-walker
+// solvers do; B&B rejects it as an unknown key).
+bool TakesFrontierDepth(const std::string& name) {
+  auto solver = SolverRegistry::Create(name);
+  SolverOptions options;
+  options.SetInt("frontier_depth", 2);
+  return solver.ok() && (*solver)->Configure(options).ok();
+}
+
+// Full-goal sweep over one context: serial vs every thread count and
+// frontier depth, bitwise and with the serial work counters; a repeated
+// run checks the task-spawn count is deterministic (steal counts are
+// scheduling noise and deliberately never compared).
 void SweepFullSolve(const std::string& name, ExecutionContext& context) {
   SCOPED_TRACE(name);
   auto serial_solver = MakeSolver(name, 0);
@@ -98,27 +123,33 @@ void SweepFullSolve(const std::string& name, ExecutionContext& context) {
   if (!serial_solver->ValidateContext(context).ok()) return;
   auto serial = serial_solver->Solve(context);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  const bool takes_depth = TakesFrontierDepth(name);
 
-  for (int threads : kThreadCounts) {
-    SCOPED_TRACE(threads);
-    ScopedBudget budget(threads);
-    auto solver = MakeSolver(name, threads);
-    ASSERT_NE(solver, nullptr);
-    auto parallel = solver->Solve(context);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ExpectBitIdentical(*serial, *parallel,
-                       name + "/t" + std::to_string(threads));
-    if (threads >= 2) {
-      // The pinned budget grants exactly `threads` workers, so the worker
-      // count and the frontier's task decomposition are deterministic.
-      EXPECT_EQ(parallel->parallel_workers, threads);
-      auto rerun = solver->Solve(context);
-      ASSERT_TRUE(rerun.ok());
-      EXPECT_EQ(parallel->tasks_spawned, rerun->tasks_spawned)
-          << name << ": task decomposition drifted between runs";
-      ExpectBitIdentical(*serial, *rerun, name + "/rerun");
-    } else {
-      EXPECT_EQ(parallel->tasks_stolen, 0);
+  for (int depth : kFrontierDepths) {
+    if (depth > 0 && !takes_depth) continue;
+    for (int threads : kThreadCounts) {
+      const std::string label = name + "/t" + std::to_string(threads) +
+                                "/fd" + std::to_string(depth);
+      SCOPED_TRACE(label);
+      ScopedBudget budget(threads);
+      auto solver = MakeSolver(name, threads, depth);
+      ASSERT_NE(solver, nullptr);
+      auto parallel = solver->Solve(context);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      ExpectBitIdentical(*serial, *parallel, label);
+      ExpectSameWork(*serial, *parallel, label);
+      if (threads >= 2) {
+        // The pinned budget grants exactly `threads` workers, so the worker
+        // count and the frontier's task decomposition are deterministic.
+        EXPECT_EQ(parallel->parallel_workers, threads);
+        auto rerun = solver->Solve(context);
+        ASSERT_TRUE(rerun.ok());
+        EXPECT_EQ(parallel->tasks_spawned, rerun->tasks_spawned)
+            << name << ": task decomposition drifted between runs";
+        ExpectBitIdentical(*serial, *rerun, label + "/rerun");
+      } else {
+        EXPECT_EQ(parallel->tasks_stolen, 0);
+      }
     }
   }
 }
@@ -187,16 +218,50 @@ TEST(ParallelDeterminism, RegistryAdvertisesTheExpectedSolvers) {
   }
 }
 
+// The base-context sweep's dataset for `seed`: d = 2 or 3 by parity.
+UncertainDataset SweepDataset(uint64_t seed) {
+  return RandomDataset(60, 4, 2 + static_cast<int>(seed % 2), 0.4, seed,
+                       seed % 2 == 0);
+}
+
 TEST(ParallelDeterminism, FullSolveSweepOnBaseContexts) {
   for (uint64_t seed : {1200u, 1201u}) {
     SCOPED_TRACE(seed);
-    const int dim = 2 + static_cast<int>(seed % 2);
-    const UncertainDataset dataset =
-        RandomDataset(60, 4, dim, 0.4, seed, seed % 2 == 0);
-    ExecutionContext context(dataset, RandomWr(dim, seed));
+    const UncertainDataset dataset = SweepDataset(seed);
+    ExecutionContext context(dataset, RandomWr(dataset.dim(), seed));
     for (const std::string& name : ParallelSolverNames()) {
       SweepFullSolve(name, context);
     }
+  }
+}
+
+// The serial work of each frontier-walker solver on the sweep datasets,
+// pinned so that a change to a traversal's shape fails here, not only in
+// the perf gate.
+TEST(ParallelDeterminism, SerialWorkCountersArePinned) {
+  struct Expected {
+    const char* solver;
+    uint64_t seed;
+    int64_t dominance_tests, nodes_visited, nodes_pruned;
+  };
+  const Expected kTable[] = {
+      {"kdtt", 1200, 1736, 49, 11},  {"kdtt", 1201, 1375, 87, 8},
+      {"kdtt+", 1200, 1736, 49, 11}, {"kdtt+", 1201, 1375, 87, 8},
+      {"qdtt+", 1200, 1091, 15, 5},  {"qdtt+", 1201, 2589, 71, 17},
+      {"mwtt", 1200, 2327, 48, 20},  {"mwtt", 1201, 2129, 66, 14},
+  };
+  for (const Expected& expected : kTable) {
+    SCOPED_TRACE(std::string(expected.solver) + "/" +
+                 std::to_string(expected.seed));
+    const UncertainDataset dataset = SweepDataset(expected.seed);
+    ExecutionContext context(dataset, RandomWr(dataset.dim(), expected.seed));
+    auto solver = MakeSolver(expected.solver, 0);
+    ASSERT_NE(solver, nullptr);
+    auto result = solver->Solve(context);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->dominance_tests, expected.dominance_tests);
+    EXPECT_EQ(result->nodes_visited, expected.nodes_visited);
+    EXPECT_EQ(result->nodes_pruned, expected.nodes_pruned);
   }
 }
 
