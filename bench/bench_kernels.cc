@@ -13,21 +13,68 @@
 //     the gate compares shapes, not absolute container speed.
 //   Kernel/*    — each simd kernel on fixed-size streams, through the
 //     active dispatch table (ARSP_KERNEL overrides).
-//   Hotpath/*   — whole solves on the Fig. 6 NBA config, exporting the
-//     deterministic work counters (dominance_tests, nodes_visited,
-//     arsp_size) that bench_diff checks for exact equality.
+//   Hotpath/*   — whole serial solves on the Fig. 6 NBA config, exporting
+//     the deterministic work counters (dominance_tests, nodes_visited,
+//     arsp_size) and the heap allocations of one solve (allocs, counted by
+//     this binary's own operator new) that bench_diff checks for exact
+//     equality.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/aligned.h"
 #include "src/common/rng.h"
+#include "src/common/task_arena.h"
 #include "src/simd/kernels.h"
 #include "src/uncertain/generators.h"
+
+// ------------------------------------------------------ allocation counter
+
+// Every operator new of this binary (the library's allocations included)
+// bumps one counter; Hotpath entries export the difference across one
+// solve. The array and nothrow forms forward to these by the standard's
+// default definitions. All stay out of line, so the compiler
+// never pairs an inlined malloc() or free() with a new- or delete-
+// expression it can see.
+namespace {
+std::atomic<int64_t> g_allocs{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     std::align_val_t alignment) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto align = static_cast<std::size_t>(alignment);
+  const std::size_t rounded = (std::max<std::size_t>(size, 1) + align - 1) /
+                              align * align;
+  void* p = std::aligned_alloc(align, rounded);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace arsp {
 namespace {
@@ -202,9 +249,19 @@ void RunHotpath(benchmark::State& state, const std::string& algo) {
   const UncertainDataset& dataset = NbaDataset();
   const PreferenceRegion region = MakeWrRegion(dataset.dim(), 3);
   ArspResult result;
+  int64_t allocs = 0;
   for (auto _ : state) {
+    const int64_t before = g_allocs.load(std::memory_order_relaxed);
     result = RunAlgo(algo, dataset, region);
+    allocs = g_allocs.load(std::memory_order_relaxed) - before;
     benchmark::DoNotOptimize(result.instance_probs.data());
+  }
+  if (state.iterations() < 2) {
+    // The process's first solve also pays one-off lazy set-up; count a
+    // warm one instead, untimed.
+    const int64_t before = g_allocs.load(std::memory_order_relaxed);
+    result = RunAlgo(algo, dataset, region);
+    allocs = g_allocs.load(std::memory_order_relaxed) - before;
   }
   // Deterministic work counters: bench_diff requires these to match the
   // committed baseline exactly (a drifted counter means the algorithm
@@ -215,6 +272,9 @@ void RunHotpath(benchmark::State& state, const std::string& algo) {
   state.counters["dominance_tests"] =
       static_cast<double>(result.dominance_tests);
   state.counters["nodes_visited"] = static_cast<double>(result.nodes_visited);
+  // Heap allocations of one cold solve, context set-up included: O(1) in
+  // the node count for the traversal solvers.
+  state.counters["allocs"] = static_cast<double>(allocs);
 }
 
 void RegisterHotpath() {
@@ -232,6 +292,10 @@ void RegisterHotpath() {
 }  // namespace arsp
 
 int main(int argc, char** argv) {
+  // Hotpath measures serial solves: with a one-core budget the engine's
+  // auto policy keeps every solve on the calling thread, so timings and
+  // allocation counts do not depend on the host's core count.
+  arsp::internal::SetCoreBudgetTotalForTesting(1);
   arsp::RegisterHotpath();
   return arsp::bench_util::BenchMain(argc, argv);
 }

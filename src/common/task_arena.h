@@ -14,9 +14,10 @@
 //    to serial, which by the determinism contract changes nothing but wall
 //    time.
 //
-//  * TaskArena — a work-stealing task scheduler: per-worker deques, owner
-//    pushes/pops at the back, idle workers steal half a victim's deque from
-//    the front (steal-half amortizes steal traffic on irregular subtree
+//  * TaskArena — a work-stealing task scheduler: per-worker deques that
+//    Submit fills round-robin at the back, each worker pops its own deque
+//    from the back, and idle workers steal half a victim's deque from the
+//    front (steal-half amortizes steal traffic on irregular subtree
 //    sizes). The constructing thread participates as worker 0 during
 //    RunAndWait(), so a TaskArena granted zero extra workers is simply a
 //    serial loop over the submitted tasks in submission order — the
@@ -91,10 +92,12 @@ class TaskArena {
   /// Helpers granted + the calling thread.
   int num_workers() const { return static_cast<int>(queues_.size()); }
 
-  /// Enqueues one task. Tasks submitted from the owner thread are dealt
-  /// round-robin across worker deques (seeding the steal-half balancing);
-  /// tasks submitted from inside a task land on the submitting worker's
-  /// own deque.
+  /// Enqueues one task. Every task — submitted from the owner thread or
+  /// from inside a running task on any worker — is dealt round-robin
+  /// across the worker deques through one atomic cursor, which seeds the
+  /// steal-half balancing; a nested task does not stay on the submitting
+  /// worker's deque. Placement never affects results, only which lane
+  /// runs a task.
   void Submit(Task task);
 
   /// Runs until every submitted task has completed; the calling thread

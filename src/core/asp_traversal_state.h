@@ -12,7 +12,8 @@
 // (§IV-B) and we apply the same rule here.
 //
 // Parallel execution: a traversal runs on one or more TraversalLane's —
-// each lane owns a private AspTraversalState, counters and a GoalChannel.
+// each lane owns a private AspTraversalState, scratch buffers, counters
+// and a GoalChannel.
 // Lanes never share mutable state except through SharedGoalState (goal
 // pushdown under parallelism), whose decisions are monotone, so lanes can
 // proceed with stale snapshots without ever producing a wrong value.
@@ -20,6 +21,7 @@
 #ifndef ARSP_CORE_ASP_TRAVERSAL_STATE_H_
 #define ARSP_CORE_ASP_TRAVERSAL_STATE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -36,66 +38,84 @@
 namespace arsp {
 namespace internal {
 
-/// Incremental (σ, β, χ) state over m objects.
+/// Incremental (σ, β, χ) state over m objects, with scoped undo.
+///
+/// Adds happen inside scopes (one per node visit, plus one per replayed
+/// PathChain). The undo stack records {object, old σ} only on an object's
+/// *first* Add in the current scope, and a scope's Mark snapshots (β, χ)
+/// at entry, so closing a scope restores the state *bitwise*: an
+/// entered-and-exited subtree is indistinguishable from one never entered.
+/// That exactness is what lets goal pruning, scoped (sharded) solves, and
+/// path-replayed parallel tasks return values bit-identical to a full
+/// serial solve. Adds made outside every scope are permanent.
 class AspTraversalState {
  public:
   explicit AspTraversalState(int num_objects)
-      : sigma_(static_cast<size_t>(num_objects), 0.0) {}
+      : slots_(static_cast<size_t>(num_objects)) {}
 
-  /// One σ update, recorded so the caller can undo it when unwinding.
-  /// Undo is snapshot-based: each change carries the pre-Add σ of its
-  /// object plus the pre-Add (β, χ), so unwinding restores the state
-  /// *bitwise* — an entered-and-exited subtree is indistinguishable from
-  /// one never entered. That exactness is what lets goal pruning, scoped
-  /// (sharded) solves, and path-replayed parallel tasks return values
-  /// bit-identical to a full serial solve.
-  struct Change {
-    int object;
-    double old_sigma;
-    double old_beta;
-    int old_chi;
+  /// What CloseScope restores: the undo-stack height and (β, χ) at entry,
+  /// and the enclosing scope.
+  struct Mark {
+    size_t undo_size;
+    double beta;
+    int chi;
+    uint64_t scope;
   };
 
   double beta() const { return beta_; }
   int chi() const { return chi_; }
   double sigma(int object) const {
-    return sigma_[static_cast<size_t>(object)];
+    return slots_[static_cast<size_t>(object)].sigma;
   }
   /// True iff object j's entire mass dominates the current node's min
   /// corner (σ[j] = 1 up to the shared probability tolerance).
   bool IsFull(int object) const {
     return sigma(object) >= 1.0 - kProbabilityEps;
   }
+  /// Undo records currently held (one per object per open scope at most).
+  size_t undo_size() const { return undo_.size(); }
 
-  /// σ[object] += prob, maintaining β and χ; appends to `undo_log`.
-  void Add(int object, double prob, std::vector<Change>* undo_log) {
-    double& s = sigma_[static_cast<size_t>(object)];
-    undo_log->push_back(Change{object, s, beta_, chi_});
-    const double old_value = s;
-    s += prob;
+  /// Opens a nested scope; pass the returned mark to CloseScope.
+  Mark OpenScope() {
+    const Mark mark{undo_.size(), beta_, chi_, scope_};
+    scope_ = ++next_scope_;
+    return mark;
+  }
+
+  /// σ[object] += prob, maintaining β and χ.
+  void Add(int object, double prob) {
+    Slot& slot = slots_[static_cast<size_t>(object)];
+    if (slot.scope != scope_) {
+      undo_.push_back(Change{object, slot.sigma});
+      slot.scope = scope_;
+    }
+    const double old_value = slot.sigma;
+    slot.sigma += prob;
     const bool was_full = old_value >= 1.0 - kProbabilityEps;
-    const bool is_full = s >= 1.0 - kProbabilityEps;
+    const bool is_full = slot.sigma >= 1.0 - kProbabilityEps;
     if (!was_full && is_full) {
       ++chi_;
       beta_ /= (1.0 - old_value);  // remove the object's factor from β
     } else if (!is_full) {
-      beta_ *= (1.0 - s) / (1.0 - old_value);
+      beta_ *= (1.0 - slot.sigma) / (1.0 - old_value);
     }
   }
 
-  /// Reverts the changes in `undo_log`, newest first, restoring σ, β and χ
-  /// bitwise to their values before the corresponding Add calls. The log
-  /// must cover a contiguous suffix of Adds (which is what the node-local
-  /// logs of every traversal are): σ is restored per change, while β and χ
-  /// come from the snapshot in the oldest change — no floating-point
-  /// arithmetic, hence no drift, on the unwind path.
-  void Undo(const std::vector<Change>& undo_log) {
-    if (undo_log.empty()) return;
-    for (auto it = undo_log.rbegin(); it != undo_log.rend(); ++it) {
-      sigma_[static_cast<size_t>(it->object)] = it->old_sigma;
+  /// Reverts every Add since `mark` was opened (nested scopes must be
+  /// closed first): σ from the records, newest first, and (β, χ) from the
+  /// mark — no floating-point arithmetic, hence no drift, on the unwind
+  /// path. A closed scope's ids are never reused, so an object the
+  /// enclosing scope touches again is recorded again; newest-first restore
+  /// keeps that exact.
+  void CloseScope(const Mark& mark) {
+    for (size_t i = undo_.size(); i > mark.undo_size; --i) {
+      const Change& change = undo_[i - 1];
+      slots_[static_cast<size_t>(change.object)].sigma = change.old_sigma;
     }
-    beta_ = undo_log.front().old_beta;
-    chi_ = undo_log.front().old_chi;
+    undo_.resize(mark.undo_size);
+    beta_ = mark.beta;
+    chi_ = mark.chi;
+    scope_ = mark.scope;
   }
 
   /// Final rskyline probability of an instance of `object` with existence
@@ -114,9 +134,22 @@ class AspTraversalState {
   }
 
  private:
-  std::vector<double> sigma_;
+  /// One undo record: an object's σ before its first Add in a scope.
+  struct Change {
+    int object;
+    double old_sigma;
+  };
+  struct Slot {
+    double sigma = 0.0;
+    uint64_t scope = 0;  // the scope of this object's last recorded Add
+  };
+
+  std::vector<Slot> slots_;
+  std::vector<Change> undo_;
   double beta_ = 1.0;
   int chi_ = 0;
+  uint64_t scope_ = 0;       // 0 = outside every scope
+  uint64_t next_scope_ = 0;  // ids are never reused
 };
 
 /// Per-lane traversal counters. Lanes accumulate privately and the driver
@@ -274,20 +307,38 @@ class GoalChannel {
 };
 
 /// Everything one worker needs to traverse a subtree: private (σ, β, χ)
-/// state, classification scratch, counters and its goal channel. Lane 0 is
-/// the calling thread's (and the only lane in serial mode); helper workers
-/// get lanes 1..W-1. The `stopped` flag is lane-sticky: once a lane has
-/// observed goal-met it records the depth and skips everything else handed
-/// to it.
+/// state with its undo stack, the candidate stack, corner slots,
+/// classification scratch, counters and its goal channel. Lane 0 is the
+/// calling thread's (and the only lane in serial mode); helper workers get
+/// lanes 1..W-1. A lane runs one task at a time and every node visit pops
+/// what it pushed, so all buffers are empty between tasks and grow only
+/// to the deepest path seen — allocations are O(depth) per lane, not
+/// O(nodes). The `stopped` flag is lane-sticky: once a lane has observed
+/// goal-met it records the depth and skips everything else handed to it.
 struct TraversalLane {
   TraversalLane(int num_objects, GoalChannel channel_in)
       : state(num_objects), channel(std::move(channel_in)) {}
 
   AspTraversalState state;
+  /// Candidate lists of the open nodes, each a slice [begin, end) of one
+  /// stack: a node's kept list is pushed on top of its parent's.
+  std::vector<int> candidates;
   std::vector<unsigned char> class_scratch;
   TraversalCounters counters;
   GoalChannel channel;
   bool stopped = false;  // this lane saw the global goal-met early exit
+
+  /// 2·dim doubles for the corners of the node at `depth`. Slots are
+  /// separate buffers, so a deeper slot's growth never moves this one.
+  double* CornerSlot(int depth, int dim) {
+    const size_t level = static_cast<size_t>(depth);
+    if (corner_slots_.size() <= level) corner_slots_.resize(level + 1);
+    std::vector<double>& slot = corner_slots_[level];
+    if (slot.size() < 2 * static_cast<size_t>(dim)) {
+      slot.resize(2 * static_cast<size_t>(dim));
+    }
+    return slot.data();
+  }
 
   /// True when rows order[begin..end) at `depth` need not be visited
   /// (goal met globally, or every instance belongs to a decided object).
@@ -308,6 +359,9 @@ struct TraversalLane {
     }
     return false;
   }
+
+ private:
+  std::vector<std::vector<double>> corner_slots_;
 };
 
 // The steps of one node visit of AspWalker (parallel_traversal.h), which
@@ -316,63 +370,77 @@ struct TraversalLane {
 // traversal solver.
 
 /// Tight [pmin, pmax] corners of rows order[begin..end) (end > begin),
-/// tightened by the dispatched ScoreCorners kernel (strict-inequality
-/// updates: ties keep the first occurrence, identically to the scalar
-/// reference on every arch).
+/// written to pmin[0..dim) and pmax[0..dim), tightened by the dispatched
+/// ScoreCorners kernel (strict-inequality updates: ties keep the first
+/// occurrence, identically to the scalar reference on every arch).
 inline void ComputeScoreCorners(const ScoreSpan& scores,
                                 const std::vector<int>& order, int begin,
-                                int end, std::vector<double>* pmin,
-                                std::vector<double>* pmax) {
+                                int end, double* pmin, double* pmax) {
   const int dim = scores.dim;
   const double* first = scores.row(order[static_cast<size_t>(begin)]);
-  pmin->assign(first, first + dim);
-  pmax->assign(first, first + dim);
+  std::copy(first, first + dim, pmin);
+  std::copy(first, first + dim, pmax);
   if (end - begin > 1) {
     simd::Ops().ScoreCorners(scores.coords, dim,
                              order.data() + begin + 1, end - begin - 1,
-                             pmin->data(), pmax->data());
+                             pmin, pmax);
   }
 }
 
-/// Moves candidates into D (σ) when they dominate pmin, keeps them in
-/// `kept` when they dominate pmax; everything else is discarded for this
+/// A node's candidate list: the slice [begin, end) of `list`, which is
+/// either a lane's candidate stack or a spawned task's shared kept list.
+/// Held by offsets, so growing the stack never invalidates it.
+struct CandidateSlice {
+  const std::vector<int>* list;
+  size_t begin, end;
+
+  const int* data() const { return list->data() + begin; }
+  int size() const { return static_cast<int>(end - begin); }
+};
+
+/// Filters the parent's candidates against a node's corners: candidates
+/// that dominate pmin move into D (σ, in the lane's open scope); those that
+/// dominate pmax are kept, appended to `kept` (the lane's candidate stack,
+/// or a spawning node's own list); everything else is discarded for this
 /// subtree. The two dominance tests per candidate run batched through the
-/// ClassifyCorners kernel into `class_scratch` (lane-owned, resized on
-/// demand — the classification is fully consumed before any recursion, so
-/// one scratch serves every level); the scalar loop then applies the
+/// ClassifyCorners kernel into the lane's class scratch (fully consumed
+/// before any recursion, so one scratch serves every level); `kept` is
+/// then reserved for the kept count — so a parent slice on the same stack
+/// cannot move while the kept list grows — and the scalar loop applies the
 /// σ/kept side effects in candidate order. Counts one dominance test per
-/// candidate into `counters`, as the scalar loop always has. When
-/// `adds_out` is non-null, every (object, prob) fed to state->Add is also
-/// appended there — the walker records these per-node deltas into a
-/// PathChain so spawned tasks can replay the root→node σ path with the
-/// exact same Add sequence (hence bitwise-equal state).
+/// candidate, as the scalar loop always has. When `adds_out` is non-null,
+/// every (object, prob) fed to Add is also appended there — the walker
+/// records these per-node deltas into a PathChain so spawned tasks can
+/// replay the root→node σ path with the exact same Add sequence (hence
+/// bitwise-equal state).
 inline void FilterAspCandidates(const ScoreSpan& scores,
-                                const std::vector<int>& parent_candidates,
+                                const CandidateSlice& parent,
                                 const double* pmin, const double* pmax,
-                                AspTraversalState* state,
-                                std::vector<int>* kept,
-                                std::vector<AspTraversalState::Change>*
-                                    undo_log,
-                                std::vector<unsigned char>* class_scratch,
-                                TraversalCounters* counters,
+                                TraversalLane* lane, std::vector<int>* kept,
                                 std::vector<std::pair<int, double>>*
                                     adds_out = nullptr) {
-  const int count = static_cast<int>(parent_candidates.size());
+  const int count = parent.size();
   if (count == 0) return;
-  if (class_scratch->size() < static_cast<size_t>(count)) {
-    class_scratch->resize(static_cast<size_t>(count));
+  if (lane->class_scratch.size() < static_cast<size_t>(count)) {
+    lane->class_scratch.resize(static_cast<size_t>(count));
   }
-  simd::Ops().ClassifyCorners(scores.coords, scores.dim,
-                              parent_candidates.data(), count, pmin, pmax,
-                              class_scratch->data());
-  counters->dominance_tests += count;
-  const unsigned char* classes = class_scratch->data();
+  unsigned char* classes = lane->class_scratch.data();
+  simd::Ops().ClassifyCorners(scores.coords, scores.dim, parent.data(), count,
+                              pmin, pmax, classes);
+  lane->counters.dominance_tests += count;
+  const size_t needed =
+      kept->size() + static_cast<size_t>(std::count(
+                         classes, classes + count, simd::kClassDominatesMax));
+  if (needed > kept->capacity()) {
+    kept->reserve(std::max(needed, 2 * kept->capacity()));
+  }
+  const int* ids = parent.data();  // after the reserve: it may move `kept`
   for (int c = 0; c < count; ++c) {
-    const int cid = parent_candidates[static_cast<size_t>(c)];
+    const int cid = ids[c];
     if (classes[c] == simd::kClassDominatesMin) {
       const int object = scores.object(cid);
       const double prob = scores.prob(cid);
-      state->Add(object, prob, undo_log);
+      lane->state.Add(object, prob);
       if (adds_out != nullptr) adds_out->emplace_back(object, prob);
     } else if (classes[c] == simd::kClassDominatesMax) {
       kept->push_back(cid);

@@ -10,6 +10,7 @@
 
 #include "src/common/aligned.h"
 #include "src/common/task_arena.h"
+#include "src/core/parallel_traversal.h"
 #include "src/core/solver.h"
 #include "src/index/rtree.h"
 #include "src/prefs/fdominance.h"
@@ -151,10 +152,12 @@ ArspResult RunBnb(ExecutionContext& context, const BnbOptions& options) {
   // parallel section — every aggregated tree is read-only there and each
   // item's σ vector is private, so fanning the per-item loops across the
   // arena is trivially bit-identical to serial (the j-order accumulation
-  // into σ happens inside one task). One arena serves every round; a
-  // budget grant of a single worker degrades to the serial loop.
+  // into σ happens inside one task). One arena serves every round; inputs
+  // below the traversal solvers' spawn grain build none, and a budget
+  // grant of a single worker degrades to the serial loop.
   std::optional<TaskArena> arena;
-  if (options.parallelism >= 2) {
+  if (options.parallelism >= 2 &&
+      view.num_instances() >= internal::SpawnMinRows()) {
     arena.emplace(options.parallelism);
     if (arena->num_workers() < 2) arena.reset();
   }

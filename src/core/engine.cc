@@ -527,18 +527,16 @@ StatusOr<QueryResponse> ArspEngine::SolveImpl(const QueryRequest& request) {
     auto solver = SolverRegistry::Create(solver_name);
     if (!solver.ok()) return solver.status();
     // Resolve the worker request: the per-query field wins, then the
-    // engine-wide policy, then the auto heuristic (parallelize only large
-    // contexts, sized by the process-global core budget so intra-query
-    // workers and the batch pool never oversubscribe — the executor's
-    // TryAcquire clamps to whatever is actually free at solve time).
+    // engine-wide policy, then auto: the process-global core budget, so
+    // intra-query workers and the batch pool never oversubscribe (the
+    // executor's TryAcquire clamps to whatever is actually free at solve
+    // time, and the solver builds no executor for inputs below its grain).
     int effective_parallelism = request.parallelism;
     if (effective_parallelism == 0) {
       effective_parallelism = options_.query_threads;
     }
     if (effective_parallelism == 0) {
-      effective_parallelism = view.num_instances() >= kParallelMinInstances
-                                  ? CoreBudget::Total()
-                                  : 1;
+      effective_parallelism = CoreBudget::Total();
     }
     const bool inject_parallelism =
         effective_parallelism >= 2 &&

@@ -224,22 +224,17 @@ struct EngineOptions {
   /// created lazily on the first SolveBatch.
   int num_threads = 0;
   /// Default intra-query worker budget for requests with parallelism == 0:
-  /// 0 = auto (parallelize large contexts — kParallelMinInstances instances
-  /// and up — across the remaining core budget; smaller queries run
-  /// serially), 1 = serial unless a request asks, N ≥ 2 = request N workers
-  /// for every parallel-capable query. Actual grants never exceed the
-  /// process-global core budget (ARSP_THREADS / hardware concurrency).
+  /// 0 = auto (request the whole core budget for every parallel-capable
+  /// query; solvers stay serial on inputs below internal::SpawnMinRows()
+  /// rows), 1 = serial unless a request asks, N ≥ 2 = request N workers
+  /// for every parallel-capable query. Actual grants never exceed what the
+  /// process-global core budget (ARSP_THREADS / hardware concurrency) has
+  /// free, so queries inside a busy SolveBatch pool run serially.
   int query_threads = 0;
   /// Ring-buffer window for per-request latency percentiles (latency_stats);
   /// 0 disables latency tracking.
   size_t latency_window = 1024;
 };
-
-/// Instance count from which the auto policy (query_threads == 0) treats a
-/// context as "large" and defaults parallel-capable solvers to parallel.
-/// Below it, task-spawn overhead and frontier bookkeeping outweigh the
-/// traversal work a worker can steal.
-inline constexpr int kParallelMinInstances = 200000;
 
 /// Long-lived query engine owning datasets, pooled contexts, the result
 /// cache, and the batch thread pool. All public methods are thread-safe.

@@ -20,43 +20,48 @@ using internal::RowRange;
 // KDTT+: halve a node's rows at the median of its widest dimension,
 // construction fused with the walk.
 struct MedianSplit : internal::RangeSplit {
-  int BranchFactor(int /*dim*/) const { return 2; }
-
   template <typename Emit>
   void ForEachChild(const RowRange& node, const NodeBox& box,
                     const ScoreSpan& scores, std::vector<int>* order,
                     Emit&& emit) const {
+    const int mid =
+        Partition(node, internal::WidestDim(box, scores.dim), scores, order);
+    emit(RowRange{node.begin, mid});
+    emit(RowRange{mid, node.end});
+  }
+
+  // Moves the lower half of the node's rows on `split_dim` in front of the
+  // upper half; returns the first row of the upper half.
+  static int Partition(const RowRange& node, int split_dim,
+                       const ScoreSpan& scores, std::vector<int>* order) {
     const int mid = node.begin + (node.end - node.begin) / 2;
-    const int split_dim = internal::WidestDim(box, scores.dim);
     std::nth_element(order->begin() + node.begin, order->begin() + mid,
                      order->begin() + node.end,
                      [&scores, split_dim](int a, int b) {
                        return scores.row(a)[split_dim] <
                               scores.row(b)[split_dim];
                      });
-    emit(RowRange{node.begin, mid});
-    emit(RowRange{mid, node.end});
+    return mid;
   }
 };
 
 // KDTT: the same median split applied to the whole tree before the walk
 // (serially — construction is the cheap, memory-bound phase); the walk then
-// reads each node's children and corners from storage.
+// reads each node's children from storage and its corners from one flat
+// array.
 class PrebuiltKdSplit {
  public:
   using Node = int;  // index into nodes_
-
-  int BranchFactor(int /*dim*/) const { return 2; }
 
   int Root(const ScoreSpan& scores, std::vector<int>* order) {
     return Build(scores, order, RowRange{0, scores.n});
   }
   RowRange Rows(int node) const { return At(node).rows; }
-  NodeBox Corners(int node, const ScoreSpan& /*scores*/,
+  NodeBox Corners(int node, const ScoreSpan& scores,
                   const std::vector<int>& /*order*/,
-                  std::vector<double>* /*pmin*/,
-                  std::vector<double>* /*pmax*/) const {
-    return NodeBox{At(node).pmin.data(), At(node).pmax.data()};
+                  double* /*slot*/) const {
+    const double* pmin = CornersOf(node, scores.dim);
+    return NodeBox{pmin, pmin + scores.dim};
   }
 
   template <typename Emit>
@@ -72,36 +77,40 @@ class PrebuiltKdSplit {
   struct KdNode {
     RowRange rows;
     int left = -1, right = -1;
-    std::vector<double> pmin, pmax;
   };
 
   const KdNode& At(int node) const {
     return nodes_[static_cast<size_t>(node)];
   }
+  // Node `node`'s pmin, followed by its pmax.
+  const double* CornersOf(int node, int dim) const {
+    return corners_.data() + static_cast<size_t>(node) * 2 * dim;
+  }
 
   int Build(const ScoreSpan& scores, std::vector<int>* order, RowRange rows) {
-    const size_t id = nodes_.size();
-    nodes_.emplace_back();
-    nodes_.back().rows = rows;
-    std::vector<double> pmin, pmax;
-    const MedianSplit median;
-    const NodeBox box = median.Corners(rows, scores, *order, &pmin, &pmax);
-    nodes_[id].pmin = pmin;
-    nodes_[id].pmax = pmax;
-    if (rows.end - rows.begin > 1 &&
-        !CoordsEqual(box.pmin, box.pmax, scores.dim)) {
-      int children[2] = {-1, -1};
-      int count = 0;
-      median.ForEachChild(rows, box, scores, order, [&](RowRange child) {
-        children[count++] = Build(scores, order, child);
-      });
-      nodes_[id].left = children[0];
-      nodes_[id].right = children[1];
+    const int dim = scores.dim;
+    const int id = static_cast<int>(nodes_.size());
+    nodes_.push_back(KdNode{rows});
+    corners_.resize(corners_.size() + 2 * static_cast<size_t>(dim));
+    double* pmin = corners_.data() + static_cast<size_t>(id) * 2 * dim;
+    internal::ComputeScoreCorners(scores, *order, rows.begin, rows.end, pmin,
+                                  pmin + dim);
+    if (rows.end - rows.begin > 1 && !CoordsEqual(pmin, pmin + dim, dim)) {
+      // The split dimension is read before recursing: the children's
+      // corners may reallocate corners_.
+      const int mid = MedianSplit::Partition(
+          rows, internal::WidestDim(NodeBox{pmin, pmin + dim}, dim), scores,
+          order);
+      const int left = Build(scores, order, RowRange{rows.begin, mid});
+      const int right = Build(scores, order, RowRange{mid, rows.end});
+      nodes_[static_cast<size_t>(id)].left = left;
+      nodes_[static_cast<size_t>(id)].right = right;
     }
-    return static_cast<int>(id);
+    return id;
   }
 
   std::vector<KdNode> nodes_;
+  std::vector<double> corners_;  // 2·dim per node, in node order
 };
 
 // Solver façade over both traversal modes; "kdtt+" fuses construction with
@@ -127,28 +136,23 @@ class KdttSolver : public ArspSolver {
   }
 
   Status Configure(const SolverOptions& options) override {
-    ARSP_RETURN_IF_ERROR(
-        options.ExpectOnly({"parallelism", "frontier_depth"}));
-    ARSP_RETURN_IF_ERROR(
-        internal::ReadParallelOptions(options, &parallelism_,
-                                      &frontier_depth_));
-    return Status::OK();
+    ARSP_RETURN_IF_ERROR(options.ExpectOnly({"parallelism"}));
+    return internal::ReadParallelism(options, &parallelism_);
   }
 
  protected:
   StatusOr<ArspResult> SolveImpl(ExecutionContext& context) override {
     if (integrated_) {
       return internal::SolveAspTraversal(context, parallelism_,
-                                         frontier_depth_, MedianSplit());
+                                         MedianSplit());
     }
-    return internal::SolveAspTraversal(context, parallelism_, frontier_depth_,
+    return internal::SolveAspTraversal(context, parallelism_,
                                        PrebuiltKdSplit());
   }
 
  private:
   const bool integrated_;
   int parallelism_ = 1;
-  int frontier_depth_ = 0;  // 0 = auto
 };
 
 ARSP_REGISTER_SOLVER(kdtt, "kdtt",

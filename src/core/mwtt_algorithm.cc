@@ -26,8 +26,6 @@ struct SlabSplit : internal::RangeSplit {
     ARSP_CHECK_MSG(fanout >= 2, "MWTT fanout must be >= 2 (got %d)", fanout);
   }
 
-  int BranchFactor(int /*dim*/) const { return fanout; }
-
   template <typename Emit>
   void ForEachChild(const RowRange& node, const NodeBox& box,
                     const ScoreSpan& scores, std::vector<int>* order,
@@ -61,8 +59,7 @@ class MwttSolver : public ArspSolver {
   }
 
   Status Configure(const SolverOptions& options) override {
-    ARSP_RETURN_IF_ERROR(
-        options.ExpectOnly({"fanout", "parallelism", "frontier_depth"}));
+    ARSP_RETURN_IF_ERROR(options.ExpectOnly({"fanout", "parallelism"}));
     StatusOr<int64_t> fanout = options.IntOr("fanout", fanout_);
     if (!fanout.ok()) return fanout.status();
     if (*fanout < 2) {
@@ -70,22 +67,18 @@ class MwttSolver : public ArspSolver {
                                      std::to_string(*fanout));
     }
     fanout_ = static_cast<int>(*fanout);
-    ARSP_RETURN_IF_ERROR(
-        internal::ReadParallelOptions(options, &parallelism_,
-                                      &frontier_depth_));
-    return Status::OK();
+    return internal::ReadParallelism(options, &parallelism_);
   }
 
  protected:
   StatusOr<ArspResult> SolveImpl(ExecutionContext& context) override {
-    return internal::SolveAspTraversal(context, parallelism_, frontier_depth_,
+    return internal::SolveAspTraversal(context, parallelism_,
                                        SlabSplit(fanout_));
   }
 
  private:
   int fanout_;
   int parallelism_ = 1;
-  int frontier_depth_ = 0;  // 0 = auto
 };
 
 ARSP_REGISTER_SOLVER(mwtt, "mwtt",

@@ -2,42 +2,35 @@
 
 #include "src/core/parallel_traversal.h"
 
+#include <atomic>
 #include <string>
 
 namespace arsp {
 namespace internal {
 
-Status ReadParallelOptions(const SolverOptions& options, int* parallelism,
-                           int* frontier_depth) {
+Status ReadParallelism(const SolverOptions& options, int* parallelism) {
   StatusOr<int64_t> par = options.IntOr("parallelism", *parallelism);
   if (!par.ok()) return par.status();
   if (*par < 1) {
     return Status::InvalidArgument("parallelism must be >= 1, got " +
                                    std::to_string(*par));
   }
-  StatusOr<int64_t> depth = options.IntOr("frontier_depth", *frontier_depth);
-  if (!depth.ok()) return depth.status();
-  if (*depth != 0 && (*depth < 2 || *depth > 12)) {
-    return Status::InvalidArgument(
-        "frontier_depth must be 0 (auto) or in [2, 12], got " +
-        std::to_string(*depth));
-  }
   *parallelism = static_cast<int>(*par);
-  *frontier_depth = static_cast<int>(*depth);
   return Status::OK();
 }
 
-int DefaultFrontierDepth(int branch_factor, int workers) {
-  if (branch_factor < 2) branch_factor = 2;
-  if (workers < 1) workers = 1;
-  const int64_t target = static_cast<int64_t>(kTaskFactor) * workers;
-  int depth = 2;
-  int64_t level_tasks = branch_factor;  // tasks spawned from depth D-1
-  while (depth < 12 && level_tasks < target) {
-    level_tasks *= branch_factor;
-    ++depth;
-  }
-  return depth;
+namespace {
+std::atomic<int> g_spawn_min_rows_override{0};  // testing hook; 0 = none
+}  // namespace
+
+int SpawnMinRows() {
+  const int override_rows =
+      g_spawn_min_rows_override.load(std::memory_order_relaxed);
+  return override_rows > 0 ? override_rows : kSpawnMinRows;
+}
+
+void SetSpawnMinRowsForTesting(int rows) {
+  g_spawn_min_rows_override.store(rows, std::memory_order_relaxed);
 }
 
 SharedGoalState::SharedGoalState(GoalPruner* pruner)

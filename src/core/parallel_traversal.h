@@ -6,13 +6,15 @@
 // rows divide into children — and AspWalker<Split> owns every step of the
 // per-node visit; SolveAspTraversal owns the per-solve setup around it.
 //
-// Parallelism is the same walker with an executor. The walk above a
-// *frontier depth* D runs on the calling thread (lane 0) as in serial, and
-// every child subtree at depth D becomes one TaskArena task. Each task
+// Parallelism is the same walker with an executor, and one spawn rule: a
+// non-terminal node whose row range holds at least SpawnMinRows() rows
+// hands each child to the executor as a task instead of recursing. Tasks
+// spawn further tasks by the same rule, so the decomposition follows the
+// subtrees that survive pruning rather than a fixed depth. Each task
 // carries a PathChain — the per-node (object, prob) Add-deltas from the
 // root to the subtree — which it replays into its lane's state before
 // descending. Replay performs the exact Add calls of the serial walk in the
-// same order, and Add/Undo are bitwise-exact, so a subtree computes
+// same order, and Add/CloseScope are bitwise-exact, so a subtree computes
 // bit-identical values whichever lane runs it. A subtree touches only its
 // own slice of the shared `order` permutation and the instance_probs
 // entries of that slice, so lanes write disjoint entries and need no merge;
@@ -45,8 +47,8 @@ namespace arsp {
 namespace internal {
 
 /// Immutable chain of per-node Add-deltas from the traversal root down to
-/// one frontier subtree. Nodes share their prefix (shared_ptr parent
-/// links), so capturing a chain per frontier task costs only that node's
+/// one spawned subtree. Nodes share their prefix (shared_ptr parent
+/// links), so capturing a chain per spawning node costs only that node's
 /// own deltas. Replay applies root-first — the serial Add order.
 class PathChain {
  public:
@@ -55,13 +57,10 @@ class PathChain {
       : parent_(std::move(parent)), adds_(std::move(adds)) {}
 
   /// Re-applies every (object, prob) delta from the root to this node into
-  /// `state`, logging into `undo_log` so the caller can unwind afterwards.
-  void Replay(AspTraversalState* state,
-              std::vector<AspTraversalState::Change>* undo_log) const {
-    if (parent_ != nullptr) parent_->Replay(state, undo_log);
-    for (const auto& add : adds_) {
-      state->Add(add.first, add.second, undo_log);
-    }
+  /// `state`'s open scope; the caller closes it to unwind.
+  void Replay(AspTraversalState* state) const {
+    if (parent_ != nullptr) parent_->Replay(state);
+    for (const auto& add : adds_) state->Add(add.first, add.second);
   }
 
  private:
@@ -69,29 +68,29 @@ class PathChain {
   std::vector<std::pair<int, double>> adds_;
 };
 
-/// Parses the shared "parallelism" / "frontier_depth" solver options into
-/// the given fields (left untouched when absent, so solver defaults
-/// survive). parallelism must be >= 1 (1 = serial); frontier_depth must be
-/// 0 (auto) or in [2, 12]. Callers still list the keys in ExpectOnly —
-/// alongside their solver-specific ones.
-Status ReadParallelOptions(const SolverOptions& options, int* parallelism,
-                           int* frontier_depth);
+/// Parses the shared "parallelism" solver option into `parallelism` (left
+/// untouched when absent, so solver defaults survive); it must be >= 1
+/// (1 = serial). Callers still list the key in ExpectOnly — alongside their
+/// solver-specific ones.
+Status ReadParallelism(const SolverOptions& options, int* parallelism);
 
-/// Frontier depth for a traversal with the given branching factor: the
-/// smallest depth whose level holds at least kTaskFactor tasks per worker
-/// (so steal-half has slack to balance irregular subtrees), clamped to
-/// [2, 12] — at least one split level, at most ~4k tasks even for binary
-/// trees.
-int DefaultFrontierDepth(int branch_factor, int workers);
+/// Row count from which a non-terminal node hands each child to the
+/// executor as a task (the spawn grain). Inputs below it build no executor
+/// at all. On the Fig. 6 NBA workload 512–4096 measure the same; 16384
+/// leaves a 405K-instance solve too few tasks.
+inline constexpr int kSpawnMinRows = 1024;
 
-/// Per-worker multiplier in DefaultFrontierDepth's task-count target.
-inline constexpr int kTaskFactor = 8;
+/// The active spawn grain: kSpawnMinRows unless a test overrides it.
+int SpawnMinRows();
+
+/// Test hook: overrides SpawnMinRows() (0 restores kSpawnMinRows).
+void SetSpawnMinRowsForTesting(int rows);
 
 /// Ties a TaskArena to one TraversalLane per worker. Lane 0 belongs to the
-/// calling thread: the walker descends to the frontier on it (helpers
-/// execute frontier tasks concurrently on lanes 1..W-1), and after the
-/// descent unwinds, lane 0's pristine state lets the caller join task
-/// execution in RunAndWait(). Construct once per solve; `parallel()` false
+/// calling thread: the walker visits the root on it (helpers execute the
+/// spawned tasks concurrently on lanes 1..W-1), and after the root visit
+/// unwinds, lane 0's pristine state lets the caller join task execution in
+/// RunAndWait(). Construct once per solve; `parallel()` false
 /// (budget granted a single worker) means the solve runs serially instead.
 class ParallelExecutor {
  public:
@@ -114,10 +113,11 @@ class ParallelExecutor {
   bool parallel() const { return arena_.num_workers() >= 2; }
   int num_workers() const { return arena_.num_workers(); }
 
-  /// The calling thread's lane; use it for the above-frontier descent.
+  /// The calling thread's lane; use it for the root visit.
   TraversalLane& main_lane() { return lanes_[0]; }
 
-  /// Submits one subtree task. The wrapper refreshes the lane's goal
+  /// Submits one subtree task; may be called from inside a running task.
+  /// The wrapper refreshes the lane's goal
   /// snapshot before the body and flushes its buffered resolutions after,
   /// so a task is the unit of goal-state propagation.
   void Spawn(std::function<void(TraversalLane&)> body) {
@@ -129,8 +129,9 @@ class ParallelExecutor {
     });
   }
 
-  /// Runs every spawned task to completion (caller participates), then
-  /// flushes lane 0 — the descent may have buffered resolutions too.
+  /// Runs every spawned task, and the tasks they spawn, to completion
+  /// (caller participates), then flushes lane 0 — the root visit may have
+  /// buffered resolutions too.
   void RunAndWait() {
     arena_.RunAndWait();
     lanes_[0].channel.Flush();
@@ -181,7 +182,7 @@ inline int WidestDim(const NodeBox& box, int dim) {
 
 /// The Split base of every construction-fused traversal (KDTT+, QDTT+,
 /// MWTT): nodes are row ranges whose corners are computed on each visit.
-/// Derived splits add BranchFactor and ForEachChild (see AspWalker).
+/// Derived splits add ForEachChild (see AspWalker).
 struct RangeSplit {
   using Node = RowRange;
 
@@ -190,103 +191,110 @@ struct RangeSplit {
   }
   RowRange Rows(const RowRange& node) const { return node; }
   NodeBox Corners(const RowRange& node, const ScoreSpan& scores,
-                  const std::vector<int>& order, std::vector<double>* pmin,
-                  std::vector<double>* pmax) const {
-    ComputeScoreCorners(scores, order, node.begin, node.end, pmin, pmax);
-    return NodeBox{pmin->data(), pmax->data()};
+                  const std::vector<int>& order, double* slot) const {
+    ComputeScoreCorners(scores, order, node.begin, node.end, slot,
+                        slot + scores.dim);
+    return NodeBox{slot, slot + scores.dim};
   }
 };
 
-/// The frontier walker: one pre-order σ/β/χ traversal over the nodes a
-/// Split yields. With a null executor it is the serial walk; otherwise
-/// nodes above `frontier_depth` record their Add-deltas and the children
-/// of depth frontier_depth - 1 become executor tasks. Split is a template
-/// parameter, so the per-node calls into it are static. It supplies:
+/// The walker: one pre-order σ/β/χ traversal over the nodes a
+/// Split yields. With a null executor it is the serial walk; otherwise a
+/// non-terminal node of at least `spawn_min_rows` rows records its
+/// Add-deltas and spawns each child as an executor task. Split is a
+/// template parameter, so the per-node calls into it are static. It
+/// supplies:
 ///   using Node;                   a cheap-to-copy subtree handle
-///   int BranchFactor(int dim);    typical fan-out, for the auto frontier
 ///   Node Root(scores, &order);    may build storage first (KDTT)
 ///   RowRange Rows(node);
-///   NodeBox Corners(node, scores, order, &pmin, &pmax);
+///   NodeBox Corners(node, scores, order, slot);
 ///   void ForEachChild(node, box, scores, &order, emit);
-/// Corners may fill the scratch vectors or point into the split's own
-/// storage. ForEachChild calls emit(child) in child order and may permute
-/// `order` only within the node's rows; it runs on several lanes at once
-/// (on disjoint nodes), so it must not mutate the split.
+/// Corners may fill the lane's 2·dim-double `slot` or point into the
+/// split's own storage. ForEachChild calls emit(child) in child order and
+/// may permute `order` only within the node's rows; it runs on several
+/// lanes at once (on disjoint nodes), so it must not mutate the split.
 template <typename Split>
 class AspWalker {
  public:
   using Node = typename Split::Node;
 
   AspWalker(Split split, ScoreSpan scores, double* probs,
-            ParallelExecutor* executor, int frontier_depth)
+            ParallelExecutor* executor, int spawn_min_rows)
       : split_(std::move(split)),
         scores_(scores),
         order_(static_cast<size_t>(scores.n)),
         probs_(probs),
         executor_(executor),
-        frontier_depth_(frontier_depth) {
+        spawn_min_rows_(spawn_min_rows) {
     std::iota(order_.begin(), order_.end(), 0);
   }
 
   void Run(TraversalLane& lane) {
     const Node root = split_.Root(scores_, &order_);
-    const std::vector<int> candidates(order_);
-    Visit(lane, root, candidates, 1, nullptr);
+    Visit(lane, root, CandidateSlice{&order_, 0, order_.size()}, 1,
+          nullptr);
   }
 
  private:
+  // Visits `node` given its parent's candidates. `chain` holds the
+  // Add-deltas of every ancestor; it is only needed (and only non-null)
+  // when the parent spawned, since a child never has more rows than its
+  // parent.
   void Visit(TraversalLane& lane, const Node& node,
-             const std::vector<int>& parent_candidates, int depth,
+             const CandidateSlice& parent, int depth,
              const std::shared_ptr<const PathChain>& chain) {
     const RowRange rows = split_.Rows(node);
     if (lane.SkipSubtree(order_, rows.begin, rows.end, depth)) return;
     ++lane.counters.nodes_visited;
-    std::vector<double> pmin, pmax;
-    const NodeBox box = split_.Corners(node, scores_, order_, &pmin, &pmax);
-
-    // Above the frontier, record this node's Add-deltas so frontier tasks
-    // can replay the root→subtree path. Inside a task depth starts at the
-    // frontier, so capture (and spawning) never re-fires there.
-    const bool capture = executor_ != nullptr && depth < frontier_depth_;
-    std::vector<std::pair<int, double>> adds;
-    std::vector<int> kept;
-    std::vector<AspTraversalState::Change> undo_log;
-    FilterAspCandidates(scores_, parent_candidates, box.pmin, box.pmax,
-                        &lane.state, &kept, &undo_log, &lane.class_scratch,
-                        &lane.counters, capture ? &adds : nullptr);
+    const NodeBox box = split_.Corners(node, scores_, order_,
+                                       lane.CornerSlot(depth, scores_.dim));
+    const bool spawns =
+        executor_ != nullptr && rows.end - rows.begin >= spawn_min_rows_;
+    // A spawning node filters into its own list, which its child tasks
+    // share; every other node pushes its kept list on the lane's stack.
+    std::shared_ptr<std::vector<int>> own_kept;
+    if (spawns) own_kept = std::make_shared<std::vector<int>>();
+    std::vector<std::pair<int, double>> adds;  // filled only if `spawns`
+    const AspTraversalState::Mark mark = lane.state.OpenScope();
+    const size_t kept_begin = lane.candidates.size();
+    FilterAspCandidates(scores_, parent, box.pmin, box.pmax, &lane,
+                        spawns ? own_kept.get() : &lane.candidates,
+                        spawns ? &adds : nullptr);
 
     if (!HandleAspTerminal(scores_, order_, rows.begin, rows.end, box.pmin,
                            box.pmax, lane.state, probs_, &lane.counters,
                            &lane.channel)) {
-      std::shared_ptr<const PathChain> node_chain;
-      std::shared_ptr<const std::vector<int>> shared_kept;
-      if (capture) {
-        node_chain = std::make_shared<const PathChain>(chain, std::move(adds));
-        if (depth + 1 == frontier_depth_) {
-          shared_kept =
-              std::make_shared<const std::vector<int>>(std::move(kept));
-        }
+      if (spawns) {
+        auto node_chain =
+            std::make_shared<const PathChain>(chain, std::move(adds));
+        split_.ForEachChild(node, box, scores_, &order_,
+                            [&](const Node& child) {
+                              SpawnSubtree(child, depth + 1, node_chain,
+                                           own_kept);
+                            });
+      } else {
+        const CandidateSlice kept{&lane.candidates, kept_begin,
+                                  lane.candidates.size()};
+        split_.ForEachChild(node, box, scores_, &order_,
+                            [&](const Node& child) {
+                              Visit(lane, child, kept, depth + 1, nullptr);
+                            });
       }
-      split_.ForEachChild(node, box, scores_, &order_, [&](const Node& child) {
-        if (shared_kept != nullptr) {
-          SpawnSubtree(child, node_chain, shared_kept);
-        } else {
-          Visit(lane, child, kept, depth + 1, node_chain);
-        }
-      });
     }
-    lane.state.Undo(undo_log);
+    lane.candidates.resize(kept_begin);
+    lane.state.CloseScope(mark);
   }
 
-  void SpawnSubtree(const Node& node,
+  void SpawnSubtree(const Node& node, int depth,
                     const std::shared_ptr<const PathChain>& chain,
                     const std::shared_ptr<const std::vector<int>>& kept) {
-    executor_->Spawn([this, node, chain, kept](TraversalLane& lane) {
+    executor_->Spawn([this, node, depth, chain, kept](TraversalLane& lane) {
       if (lane.stopped) return;  // global goal-met: skip even the replay
-      std::vector<AspTraversalState::Change> replay_log;
-      chain->Replay(&lane.state, &replay_log);
-      Visit(lane, node, *kept, frontier_depth_, nullptr);
-      lane.state.Undo(replay_log);
+      const AspTraversalState::Mark mark = lane.state.OpenScope();
+      chain->Replay(&lane.state);
+      Visit(lane, node, CandidateSlice{kept.get(), 0, kept->size()}, depth,
+            chain);
+      lane.state.CloseScope(mark);
     });
   }
 
@@ -295,17 +303,17 @@ class AspWalker {
   std::vector<int> order_;  // subtrees permute disjoint slices
   double* const probs_;     // result->instance_probs, disjoint writes
   ParallelExecutor* const executor_;  // null = serial
-  const int frontier_depth_;
+  const int spawn_min_rows_;
 };
 
 /// Solves the context's query with an AspWalker over `split`: sets up the
 /// goal pruner, then runs the walker on a ParallelExecutor when
-/// `parallelism` >= 2 and the core budget grants at least two workers, and
-/// on a single serial lane otherwise. `frontier_depth` 0 picks
-/// DefaultFrontierDepth from the split's branch factor.
+/// `parallelism` >= 2, the input holds at least SpawnMinRows() rows and
+/// the core budget grants at least two workers, and on a single serial
+/// lane otherwise.
 template <typename Split>
 ArspResult SolveAspTraversal(ExecutionContext& context, int parallelism,
-                             int frontier_depth, Split split) {
+                             Split split) {
   const DatasetView& view = context.view();
   ArspResult result;
   result.instance_probs.assign(static_cast<size_t>(view.num_instances()),
@@ -315,10 +323,11 @@ ArspResult SolveAspTraversal(ExecutionContext& context, int parallelism,
   GoalPruner pruner(context.goal(), view, &scores);
   GoalPruner* active = pruner.active() ? &pruner : nullptr;
 
+  const int spawn_min_rows = SpawnMinRows();
   std::optional<SharedGoalState> shared;
   std::optional<ParallelExecutor> executor;
   std::optional<TraversalLane> serial_lane;
-  if (parallelism >= 2) {
+  if (parallelism >= 2 && scores.n >= spawn_min_rows) {
     shared.emplace(active);
     executor.emplace(parallelism, view.num_objects(), &*shared,
                      scores.objects);
@@ -329,14 +338,11 @@ ArspResult SolveAspTraversal(ExecutionContext& context, int parallelism,
   }
   if (!executor.has_value()) {
     serial_lane.emplace(view.num_objects(), GoalChannel(active));
-  } else if (frontier_depth == 0) {
-    frontier_depth = DefaultFrontierDepth(split.BranchFactor(scores.dim),
-                                          executor->num_workers());
   }
   AspWalker<Split> walker(std::move(split), scores,
                           result.instance_probs.data(),
                           executor.has_value() ? &*executor : nullptr,
-                          frontier_depth);
+                          spawn_min_rows);
   walker.Run(executor.has_value() ? executor->main_lane() : *serial_lane);
   if (executor.has_value()) {
     executor->RunAndWait();

@@ -23,12 +23,11 @@ using internal::RowRange;
 // (no 2^{d'} allocation, though the fan-out still hurts in high
 // dimensions).
 struct QuadrantSplit : internal::RangeSplit {
-  // Quadrant fan-out is at most 2^d' but usually far smaller; estimate
-  // conservatively so auto depth lands near the task-count target.
-  int BranchFactor(int dim) const { return std::min(8, 1 << std::min(dim, 3)); }
+  // Quadrant codes are 64-bit masks with one bit per mapped dimension.
+  static constexpr int kMaxDim = 63;
 
   RowRange Root(const ScoreSpan& scores, std::vector<int>* order) const {
-    ARSP_CHECK_MSG(scores.dim <= 63,
+    ARSP_CHECK_MSG(scores.dim <= kMaxDim,
                    "QDTT+ quadrant codes support at most 63 mapped "
                    "dimensions; use KDTT+ or B&B for larger vertex sets");
     return RangeSplit::Root(scores, order);
@@ -39,15 +38,15 @@ struct QuadrantSplit : internal::RangeSplit {
                     const ScoreSpan& scores, std::vector<int>* order,
                     Emit&& emit) const {
     const int dim = scores.dim;
-    std::vector<double> center(static_cast<size_t>(dim));
+    double center[kMaxDim];  // dim <= kMaxDim, checked by Root
     for (int k = 0; k < dim; ++k) {
-      center[static_cast<size_t>(k)] = 0.5 * (box.pmin[k] + box.pmax[k]);
+      center[k] = 0.5 * (box.pmin[k] + box.pmax[k]);
     }
     const auto code = [&scores, &center, dim](int row) {
       const double* p = scores.row(row);
       uint64_t bits = 0;
       for (int k = 0; k < dim; ++k) {
-        bits = (bits << 1) | (p[k] > center[static_cast<size_t>(k)] ? 1u : 0u);
+        bits = (bits << 1) | (p[k] > center[k] ? 1u : 0u);
       }
       return bits;
     };
@@ -81,23 +80,18 @@ class QdttSolver : public ArspSolver {
   }
 
   Status Configure(const SolverOptions& options) override {
-    ARSP_RETURN_IF_ERROR(
-        options.ExpectOnly({"parallelism", "frontier_depth"}));
-    ARSP_RETURN_IF_ERROR(
-        internal::ReadParallelOptions(options, &parallelism_,
-                                      &frontier_depth_));
-    return Status::OK();
+    ARSP_RETURN_IF_ERROR(options.ExpectOnly({"parallelism"}));
+    return internal::ReadParallelism(options, &parallelism_);
   }
 
  protected:
   StatusOr<ArspResult> SolveImpl(ExecutionContext& context) override {
-    return internal::SolveAspTraversal(context, parallelism_, frontier_depth_,
+    return internal::SolveAspTraversal(context, parallelism_,
                                        QuadrantSplit());
   }
 
  private:
   int parallelism_ = 1;
-  int frontier_depth_ = 0;  // 0 = auto
 };
 
 ARSP_REGISTER_SOLVER(qdtt_plus, "qdtt+",

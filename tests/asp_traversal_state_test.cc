@@ -2,14 +2,19 @@
 //
 // Unit tests for the incremental (σ, β, χ) bookkeeping shared by the
 // kd/quad/multi-way traversals: β must always equal the direct product
-// Π_{σ[j]≠1}(1 − σ[j]), χ must count full objects, and Undo must restore
-// the state *bitwise* (snapshot-based undo) under randomized add/undo
-// sequences — including masses crossing the σ = 1 boundary.
+// Π_{σ[j]≠1}(1 − σ[j]), χ must count full objects, and closing a scope
+// must restore the state *bitwise* under randomized nested add/close
+// sequences — including masses crossing the σ = 1 boundary, repeated Adds
+// of one object within a scope, and a replayed path followed by a node
+// scope (what a spawned parallel task does).
 
 #include "src/core/asp_traversal_state.h"
 
 #include <cmath>
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "src/common/rng.h"
 
@@ -41,114 +46,174 @@ TEST(AspTraversalStateTest, FreshState) {
   }
 }
 
+// Every observable of the state, for bitwise comparisons.
+struct Snapshot {
+  std::vector<double> sigma;
+  double beta;
+  int chi;
+};
+
+Snapshot Capture(const AspTraversalState& state, int m) {
+  Snapshot snapshot{{}, state.beta(), state.chi()};
+  for (int j = 0; j < m; ++j) snapshot.sigma.push_back(state.sigma(j));
+  return snapshot;
+}
+
+void ExpectBitwiseEqual(const Snapshot& expected, const Snapshot& actual) {
+  EXPECT_EQ(actual.beta, expected.beta);
+  EXPECT_EQ(actual.chi, expected.chi);
+  ASSERT_EQ(actual.sigma.size(), expected.sigma.size());
+  for (size_t j = 0; j < expected.sigma.size(); ++j) {
+    EXPECT_EQ(actual.sigma[j], expected.sigma[j]) << "object " << j;
+  }
+}
+
 TEST(AspTraversalStateTest, SingleAddUpdatesBeta) {
   AspTraversalState state(2);
-  std::vector<AspTraversalState::Change> log;
-  state.Add(0, 0.25, &log);
+  const AspTraversalState::Mark mark = state.OpenScope();
+  state.Add(0, 0.25);
   EXPECT_DOUBLE_EQ(state.sigma(0), 0.25);
   EXPECT_DOUBLE_EQ(state.beta(), 0.75);
   EXPECT_EQ(state.chi(), 0);
-  state.Undo(log);
+  state.CloseScope(mark);
   EXPECT_DOUBLE_EQ(state.beta(), 1.0);
   EXPECT_DOUBLE_EQ(state.sigma(0), 0.0);
+  EXPECT_EQ(state.undo_size(), 0u);
 }
 
 TEST(AspTraversalStateTest, CrossingFullBoundaryMovesFactorToChi) {
   AspTraversalState state(2);
-  std::vector<AspTraversalState::Change> log;
-  state.Add(0, 0.6, &log);
-  state.Add(1, 0.5, &log);
+  const AspTraversalState::Mark mark = state.OpenScope();
+  state.Add(0, 0.6);
+  state.Add(1, 0.5);
   EXPECT_NEAR(state.beta(), 0.4 * 0.5, 1e-15);
-  state.Add(0, 0.4, &log);  // σ[0] -> 1: its factor leaves β
+  state.Add(0, 0.4);  // σ[0] -> 1: its factor leaves β
   EXPECT_EQ(state.chi(), 1);
   EXPECT_TRUE(state.IsFull(0));
   EXPECT_NEAR(state.beta(), 0.5, 1e-12);
-  state.Undo(log);
+  state.CloseScope(mark);
   EXPECT_EQ(state.chi(), 0);
-  EXPECT_NEAR(state.beta(), 1.0, 1e-12);
+  EXPECT_EQ(state.beta(), 1.0);
 }
 
 TEST(AspTraversalStateTest, AddingBeyondFullDoesNotDoubleCountChi) {
   // Same object keeps receiving mass after σ = 1 within tolerance (can
   // happen when the remaining mass is epsilon-sized).
   AspTraversalState state(1);
-  std::vector<AspTraversalState::Change> log;
-  state.Add(0, 1.0 - 1e-12, &log);
+  const AspTraversalState::Mark mark = state.OpenScope();
+  state.Add(0, 1.0 - 1e-12);
   EXPECT_EQ(state.chi(), 1);
-  state.Add(0, 1e-12, &log);
+  state.Add(0, 1e-12);
   EXPECT_EQ(state.chi(), 1);
-  state.Undo(log);
+  state.CloseScope(mark);
   EXPECT_EQ(state.chi(), 0);
-  EXPECT_NEAR(state.beta(), 1.0, 1e-9);
+  EXPECT_EQ(state.beta(), 1.0);
 }
 
 TEST(AspTraversalStateTest, LeafProbabilityRules) {
   AspTraversalState state(3);
-  std::vector<AspTraversalState::Change> log;
+  const AspTraversalState::Mark mark = state.OpenScope();
   // χ = 0: own factor divided out.
-  state.Add(0, 0.5, &log);  // own object
-  state.Add(1, 0.25, &log);
+  state.Add(0, 0.5);  // own object
+  state.Add(1, 0.25);
   // Pr = β · p / (1 - σ[own]) = (0.5 · 0.75) · 0.5 / 0.5 = 0.375.
   EXPECT_NEAR(state.LeafProbability(0, 0.5), 0.375, 1e-12);
 
   // χ = 1 via the own object: Pr = β · p.
-  state.Add(0, 0.5, &log);  // σ[0] = 1
+  state.Add(0, 0.5);  // σ[0] = 1
   EXPECT_EQ(state.chi(), 1);
   EXPECT_NEAR(state.LeafProbability(0, 0.5), 0.75 * 0.5, 1e-12);
   // χ = 1 via a *foreign* full object: zero.
   EXPECT_EQ(state.LeafProbability(2, 0.5), 0.0);
 
   // χ = 2: always zero.
-  state.Add(1, 0.75, &log);
+  state.Add(1, 0.75);
   EXPECT_EQ(state.chi(), 2);
   EXPECT_EQ(state.LeafProbability(0, 0.5), 0.0);
-  state.Undo(log);
+  state.CloseScope(mark);
+}
+
+TEST(AspTraversalStateTest, RepeatedAddsInOneScopeRecordOnce) {
+  AspTraversalState state(3);
+  const AspTraversalState::Mark mark = state.OpenScope();
+  state.Add(1, 0.125);
+  state.Add(1, 0.25);
+  state.Add(1, 0.5);
+  EXPECT_EQ(state.undo_size(), 1u);
+  state.Add(2, 0.5);
+  EXPECT_EQ(state.undo_size(), 2u);
+  EXPECT_EQ(state.sigma(1), 0.875);
+  state.CloseScope(mark);
+  EXPECT_EQ(state.undo_size(), 0u);
+  EXPECT_EQ(state.sigma(1), 0.0);
+  EXPECT_EQ(state.sigma(2), 0.0);
+  EXPECT_EQ(state.beta(), 1.0);
 }
 
 TEST(AspTraversalStateTest, RandomizedAddUndoMatchesRecomputation) {
+  // A random walk over nested scopes, as a traversal opens one per node:
+  // each step either opens a scope and adds a batch (some objects several
+  // times), or closes the innermost scope, which must restore the state
+  // captured when it opened bitwise, not merely closely.
   Rng rng(17);
   const int m = 12;
   AspTraversalState state(m);
   std::vector<double> sigma(static_cast<size_t>(m), 0.0);
+  std::vector<std::pair<AspTraversalState::Mark, Snapshot>> open;
 
-  for (int round = 0; round < 200; ++round) {
-    // A batch of adds (like one node's dominating set)...
-    std::vector<AspTraversalState::Change> log;
+  for (int round = 0; round < 400; ++round) {
+    const bool close =
+        !open.empty() && (open.size() >= 8 || rng.Bernoulli(0.45));
+    if (close) {
+      state.CloseScope(open.back().first);
+      ExpectBitwiseEqual(open.back().second, Capture(state, m));
+      sigma = open.back().second.sigma;
+      open.pop_back();
+      continue;
+    }
+    open.emplace_back(state.OpenScope(), Capture(state, m));
+    const size_t undo_before = state.undo_size();
+    std::vector<bool> touched(static_cast<size_t>(m), false);
     const int adds = rng.UniformInt(1, 6);
     for (int a = 0; a < adds; ++a) {
+      // Repeat the previous object now and then.
       const int j = rng.UniformInt(0, m - 1);
       const double room = 1.0 - sigma[static_cast<size_t>(j)];
       if (room <= 0.0) continue;
-      // Occasionally exhaust the remaining mass exactly.
-      const double p =
-          rng.Bernoulli(0.2) ? room : rng.Uniform(0.0, room) * 0.9 + 1e-6;
-      state.Add(j, p, &log);
-      sigma[static_cast<size_t>(j)] += p;
+      const int repeats = rng.Bernoulli(0.3) ? 2 : 1;
+      for (int r = 0; r < repeats; ++r) {
+        const double left = 1.0 - sigma[static_cast<size_t>(j)];
+        // Occasionally exhaust the remaining mass exactly.
+        const double p = rng.Bernoulli(0.2) ? left
+                                            : rng.Uniform(0.0, left) * 0.9 +
+                                                  1e-6;
+        if (p <= 0.0) continue;
+        state.Add(j, p);
+        sigma[static_cast<size_t>(j)] += p;
+        touched[static_cast<size_t>(j)] = true;
+      }
     }
+    // One record per distinct object of this scope.
+    size_t distinct = 0;
+    for (bool t : touched) distinct += t ? 1 : 0;
+    EXPECT_EQ(state.undo_size() - undo_before, distinct) << "round " << round;
     double beta_expected;
     int chi_expected;
     Recompute(sigma, &beta_expected, &chi_expected);
     EXPECT_EQ(state.chi(), chi_expected) << "round " << round;
     EXPECT_NEAR(state.beta(), beta_expected, 1e-9 + 1e-9 * beta_expected)
         << "round " << round;
-
-    // ...then either keep it (descend) or undo it (backtrack). Undo is
-    // snapshot-based, so the restore must be bitwise, not merely close.
-    if (rng.Bernoulli(0.5)) {
-      const double beta_before = log.empty() ? state.beta()
-                                             : log.front().old_beta;
-      const int chi_before = log.empty() ? state.chi() : log.front().old_chi;
-      for (auto it = log.rbegin(); it != log.rend(); ++it) {
-        sigma[static_cast<size_t>(it->object)] = it->old_sigma;
-      }
-      state.Undo(log);
-      EXPECT_EQ(state.beta(), beta_before);
-      EXPECT_EQ(state.chi(), chi_before);
-      for (int j = 0; j < m; ++j) {
-        EXPECT_EQ(state.sigma(j), sigma[static_cast<size_t>(j)]);
-      }
+    for (int j = 0; j < m; ++j) {
+      EXPECT_EQ(state.sigma(j), sigma[static_cast<size_t>(j)]);
     }
   }
+  while (!open.empty()) {
+    state.CloseScope(open.back().first);
+    ExpectBitwiseEqual(open.back().second, Capture(state, m));
+    open.pop_back();
+  }
+  ExpectBitwiseEqual(Snapshot{std::vector<double>(m, 0.0), 1.0, 0},
+                     Capture(state, m));
 }
 
 TEST(AspTraversalStateTest, UndoRestoresBitwise) {
@@ -156,26 +221,77 @@ TEST(AspTraversalStateTest, UndoRestoresBitwise) {
   // entering — the exactness goal pruning and scoped (sharded) solves rely
   // on for bit-identical answers.
   AspTraversalState state(4);
-  std::vector<AspTraversalState::Change> path;
-  state.Add(0, 0.3, &path);
-  state.Add(1, 0.7, &path);
-  const double beta_at_node = state.beta();
-  const int chi_at_node = state.chi();
-  const double sigma0 = state.sigma(0);
-  const double sigma1 = state.sigma(1);
+  const AspTraversalState::Mark path = state.OpenScope();
+  state.Add(0, 0.3);
+  state.Add(1, 0.7);
+  const Snapshot at_node = Capture(state, 4);
 
-  std::vector<AspTraversalState::Change> subtree;
-  state.Add(2, 0.9999999, &subtree);
-  state.Add(0, 0.1, &subtree);
-  state.Add(3, 1.0, &subtree);  // crosses the full boundary
-  state.Undo(subtree);
+  const AspTraversalState::Mark subtree = state.OpenScope();
+  state.Add(2, 0.9999999);
+  state.Add(0, 0.1);
+  state.Add(0, 0.2);  // repeated within the scope
+  const Snapshot at_child = Capture(state, 4);
+  const AspTraversalState::Mark grandchild = state.OpenScope();
+  state.Add(3, 1.0);  // crosses the full boundary
+  state.Add(0, 0.4);  // crosses it too, on an object both parents touched
+  EXPECT_EQ(state.chi(), 2);
+  state.CloseScope(grandchild);
+  ExpectBitwiseEqual(at_child, Capture(state, 4));
+  state.CloseScope(subtree);
+  ExpectBitwiseEqual(at_node, Capture(state, 4));
 
-  EXPECT_EQ(state.beta(), beta_at_node);
-  EXPECT_EQ(state.chi(), chi_at_node);
-  EXPECT_EQ(state.sigma(0), sigma0);
-  EXPECT_EQ(state.sigma(1), sigma1);
-  EXPECT_EQ(state.sigma(2), 0.0);
-  EXPECT_EQ(state.sigma(3), 0.0);
+  // The enclosing scope adds again after a child closed: still exact.
+  state.Add(2, 0.5);
+  state.CloseScope(path);
+  ExpectBitwiseEqual(Snapshot{{0.0, 0.0, 0.0, 0.0}, 1.0, 0},
+                     Capture(state, 4));
+}
+
+TEST(AspTraversalStateTest, ReplayedChainThenNodeScopeMatchesSerial) {
+  // A spawned task replays its ancestors' Adds in one scope, then visits
+  // its node in a nested scope; a serial walk opened one scope per
+  // ancestor. Both must reach bit-identical states, and unwind to pristine.
+  const std::vector<std::vector<std::pair<int, double>>> ancestors = {
+      {{0, 0.3}, {1, 0.1}, {0, 0.2}},
+      {{2, 0.45}, {1, 0.6}},
+      {{0, 0.5}, {3, 0.25}, {2, 0.3}},
+  };
+  const std::vector<std::pair<int, double>> node = {
+      {3, 0.5}, {1, 0.3}, {3, 0.25}};
+
+  AspTraversalState serial(4);
+  std::vector<AspTraversalState::Mark> marks;
+  for (const auto& adds : ancestors) {
+    marks.push_back(serial.OpenScope());
+    for (const auto& add : adds) serial.Add(add.first, add.second);
+  }
+  const Snapshot serial_at_node = Capture(serial, 4);
+  marks.push_back(serial.OpenScope());
+  for (const auto& add : node) serial.Add(add.first, add.second);
+  const Snapshot serial_in_node = Capture(serial, 4);
+
+  AspTraversalState task(4);
+  const AspTraversalState::Mark replay = task.OpenScope();
+  for (const auto& adds : ancestors) {
+    for (const auto& add : adds) task.Add(add.first, add.second);
+  }
+  EXPECT_EQ(task.undo_size(), 4u);  // one record per distinct object
+  ExpectBitwiseEqual(serial_at_node, Capture(task, 4));
+  const AspTraversalState::Mark node_scope = task.OpenScope();
+  for (const auto& add : node) task.Add(add.first, add.second);
+  ExpectBitwiseEqual(serial_in_node, Capture(task, 4));
+  task.CloseScope(node_scope);
+  ExpectBitwiseEqual(serial_at_node, Capture(task, 4));
+  task.CloseScope(replay);
+  ExpectBitwiseEqual(Snapshot{{0.0, 0.0, 0.0, 0.0}, 1.0, 0},
+                     Capture(task, 4));
+
+  while (!marks.empty()) {
+    serial.CloseScope(marks.back());
+    marks.pop_back();
+  }
+  ExpectBitwiseEqual(Snapshot{{0.0, 0.0, 0.0, 0.0}, 1.0, 0},
+                     Capture(serial, 4));
 }
 
 }  // namespace

@@ -4,12 +4,14 @@
 // solver advertising kCapIntraQueryParallel, a parallel solve — any thread
 // count, base context or derived prefix/subset view — produces an
 // instance-probability vector memcmp-identical to the serial solve, and
-// deterministic task counts run to run. Goal-scoped solves (top-k /
-// threshold / count-controlled pushdown) must answer identically to the
-// serial pushdown solve: exact object identity and order, probabilities
-// within the documented β-bookkeeping drift (epoch-published pruning
-// snapshots may skip different subtrees at different times, but the decided
-// answer set is a fixpoint independent of scheduling).
+// deterministic task counts run to run — swept over spawn grains, so the
+// small test datasets really decompose into nested tasks. Goal-scoped
+// solves (top-k / threshold / count-controlled pushdown) must answer
+// identically to the serial pushdown solve: exact object identity and
+// order, probabilities within the documented β-bookkeeping drift
+// (epoch-published pruning snapshots may skip different subtrees at
+// different times, but the decided answer set is a fixpoint independent
+// of scheduling).
 //
 // Also the TSan target for the executor: concurrent SolveBatch of parallel
 // queries sharing one pooled ExecutionContext, with the batch pool and the
@@ -18,12 +20,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/task_arena.h"
 #include "src/core/engine.h"
+#include "src/core/parallel_traversal.h"
 #include "src/core/queries.h"
 #include "src/core/solver.h"
 #include "tests/test_util.h"
@@ -37,8 +41,11 @@ using testing_util::WrRegion;
 
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
 
-// Frontier depths swept for the solvers that take the option; 0 = auto.
-constexpr int kFrontierDepths[] = {0, 2, 4};
+// Spawn grains swept by the full-solve sweeps; 0 = the default
+// (internal::kSpawnMinRows, above every small sweep dataset, so those
+// solves must build no executor). The small grains make the sweep datasets
+// spawn nested tasks several levels deep.
+constexpr int kSpawnGrains[] = {0, 16, 2};
 
 // Probabilities of goal-pushed answers may carry per-run β drift (skipped
 // subtrees depend on when pruning snapshots publish); identity and order
@@ -53,16 +60,22 @@ class ScopedBudget {
   ~ScopedBudget() { internal::SetCoreBudgetTotalForTesting(0); }
 };
 
+class ScopedSpawnGrain {
+ public:
+  explicit ScopedSpawnGrain(int rows) {
+    internal::SetSpawnMinRowsForTesting(rows);
+  }
+  ~ScopedSpawnGrain() { internal::SetSpawnMinRowsForTesting(0); }
+};
+
 std::unique_ptr<ArspSolver> MakeSolver(const std::string& name,
-                                       int parallelism,
-                                       int frontier_depth = 0) {
+                                       int parallelism) {
   auto solver = SolverRegistry::Create(name);
   EXPECT_TRUE(solver.ok()) << name;
   if (!solver.ok()) return nullptr;
   if (parallelism > 0) {
     SolverOptions options;
     options.SetInt("parallelism", parallelism);
-    if (frontier_depth > 0) options.SetInt("frontier_depth", frontier_depth);
     const Status configured = (*solver)->Configure(options);
     EXPECT_TRUE(configured.ok()) << name << ": " << configured.ToString();
     if (!configured.ok()) return nullptr;
@@ -103,51 +116,54 @@ void ExpectSameWork(const ArspResult& serial, const ArspResult& parallel,
   EXPECT_EQ(serial.early_exit_depth, parallel.early_exit_depth) << label;
 }
 
-// Whether `name` takes the frontier_depth option (the frontier-walker
-// solvers do; B&B rejects it as an unknown key).
-bool TakesFrontierDepth(const std::string& name) {
-  auto solver = SolverRegistry::Create(name);
-  SolverOptions options;
-  options.SetInt("frontier_depth", 2);
-  return solver.ok() && (*solver)->Configure(options).ok();
-}
-
 // Full-goal sweep over one context: serial vs every thread count and
-// frontier depth, bitwise and with the serial work counters; a repeated
-// run checks the task-spawn count is deterministic (steal counts are
-// scheduling noise and deliberately never compared).
-void SweepFullSolve(const std::string& name, ExecutionContext& context) {
+// spawn grain, bitwise and with the serial work counters; a repeated run
+// checks the task-spawn count is deterministic (steal counts are
+// scheduling noise and deliberately never compared). Inputs of at least
+// the grain's rows must really spawn; smaller ones must stay serial.
+void SweepFullSolve(const std::string& name, ExecutionContext& context,
+                    const std::vector<int>& grains = {std::begin(kSpawnGrains),
+                                                      std::end(kSpawnGrains)}) {
   SCOPED_TRACE(name);
   auto serial_solver = MakeSolver(name, 0);
   ASSERT_NE(serial_solver, nullptr);
   if (!serial_solver->ValidateContext(context).ok()) return;
   auto serial = serial_solver->Solve(context);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  const bool takes_depth = TakesFrontierDepth(name);
+  const int rows = context.view().num_instances();
 
-  for (int depth : kFrontierDepths) {
-    if (depth > 0 && !takes_depth) continue;
+  for (int grain : grains) {
+    ScopedSpawnGrain spawn_grain(grain);
+    const bool decomposes = rows >= internal::SpawnMinRows();
     for (int threads : kThreadCounts) {
       const std::string label = name + "/t" + std::to_string(threads) +
-                                "/fd" + std::to_string(depth);
+                                "/grain" + std::to_string(grain);
       SCOPED_TRACE(label);
       ScopedBudget budget(threads);
-      auto solver = MakeSolver(name, threads, depth);
+      auto solver = MakeSolver(name, threads);
       ASSERT_NE(solver, nullptr);
       auto parallel = solver->Solve(context);
       ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
       ExpectBitIdentical(*serial, *parallel, label);
       ExpectSameWork(*serial, *parallel, label);
-      if (threads >= 2) {
+      if (threads >= 2 && decomposes) {
         // The pinned budget grants exactly `threads` workers, so the worker
-        // count and the frontier's task decomposition are deterministic.
+        // count and the spawn rule's task decomposition are deterministic.
         EXPECT_EQ(parallel->parallel_workers, threads);
+        // B&B spawns only for batches of tied-score instances, which the
+        // continuous random datasets do not have.
+        if (name != "bnb") {
+          EXPECT_GT(parallel->tasks_spawned, 0)
+              << name << ": an input above the grain spawned no tasks";
+        }
         auto rerun = solver->Solve(context);
         ASSERT_TRUE(rerun.ok());
         EXPECT_EQ(parallel->tasks_spawned, rerun->tasks_spawned)
             << name << ": task decomposition drifted between runs";
         ExpectBitIdentical(*serial, *rerun, label + "/rerun");
       } else {
+        // One worker, or an input below the grain: no executor at all.
+        EXPECT_EQ(parallel->tasks_spawned, 0);
         EXPECT_EQ(parallel->tasks_stolen, 0);
       }
     }
@@ -235,7 +251,18 @@ TEST(ParallelDeterminism, FullSolveSweepOnBaseContexts) {
   }
 }
 
-// The serial work of each frontier-walker solver on the sweep datasets,
+// An input above the default grain: every parallel solver decomposes it
+// with no test override, into tasks that spawn tasks.
+TEST(ParallelDeterminism, FullSolveSweepSpawnsAtTheDefaultGrain) {
+  const UncertainDataset dataset = RandomDataset(2000, 4, 3, 0.4, 1250);
+  ASSERT_GE(dataset.num_instances(), internal::kSpawnMinRows);
+  ExecutionContext context(dataset, RandomWr(dataset.dim(), 1250));
+  for (const std::string& name : ParallelSolverNames()) {
+    SweepFullSolve(name, context, {0});
+  }
+}
+
+// The serial work of each walker solver on the sweep datasets,
 // pinned so that a change to a traversal's shape fails here, not only in
 // the perf gate.
 TEST(ParallelDeterminism, SerialWorkCountersArePinned) {
@@ -286,6 +313,7 @@ TEST(ParallelDeterminism, FullSolveSweepOnDerivedViews) {
 }
 
 TEST(ParallelDeterminism, GoalPushdownSweep) {
+  ScopedSpawnGrain spawn_grain(16);
   const UncertainDataset dataset = RandomDataset(48, 4, 3, 0.4, 1400);
   auto context = std::make_shared<ExecutionContext>(dataset, RandomWr(3, 1400));
   for (const std::string& name : ParallelSolverNames()) {
@@ -294,6 +322,7 @@ TEST(ParallelDeterminism, GoalPushdownSweep) {
 }
 
 TEST(ParallelDeterminism, GoalPushdownSweepOnDerivedViews) {
+  ScopedSpawnGrain spawn_grain(16);
   const UncertainDataset dataset = RandomDataset(40, 3, 3, 0.4, 1500);
   auto base = std::make_shared<ExecutionContext>(dataset, WrRegion(3, 2));
   auto view = DatasetView::Create(dataset, ViewSpec::Prefix(25));
@@ -310,6 +339,7 @@ TEST(ParallelDeterminism, GoalPushdownSweepOnDerivedViews) {
 // serial — either way the results must be bitwise the serial reference).
 TEST(ParallelDeterminism, ConcurrentSolveBatchOnOnePooledContext) {
   ScopedBudget budget(8);
+  ScopedSpawnGrain spawn_grain(16);
   const UncertainDataset dataset = RandomDataset(60, 4, 3, 0.4, 1600);
 
   EngineOptions options;

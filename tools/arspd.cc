@@ -58,10 +58,12 @@ void PrintUsage() {
       stderr,
       "usage: arspd [--host ADDR] [--port P] [--max-connections N]\n"
       "             [--cache N] [--contexts N] [--threads N]\n"
-      "             [--query-threads N]   (intra-query workers: 0 = auto,\n"
-      "                                    1 = serial, N >= 2 = N per query;\n"
-      "                                    shares the batch pool's core\n"
-      "                                    budget, never oversubscribes)\n"
+      "             [--query-threads N]   (intra-query workers: 0 = auto, the\n"
+      "                                    whole core budget; 1 = serial;\n"
+      "                                    N >= 2 = N per query; grants come\n"
+      "                                    from the free core budget, and\n"
+      "                                    inputs under 1024 instances stay\n"
+      "                                    serial)\n"
       "             [--load name=csv:PATH[:header]] [--load name=gen:SPEC]\n"
       "             [--shards H:P[,H:P...]] [--replication N]\n"
       "             [--client-qps F] [--client-burst F] [--max-pending N]\n"
