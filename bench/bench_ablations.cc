@@ -207,6 +207,7 @@ void BM_GoalPushdown(benchmark::State& state) {
   request.constraints = ConstraintSpec::Region(MakeWrRegion(4, 3));
   request.solver = "kdtt+";
   request.use_cache = false;
+  request.parallelism = 1;  // the serial pushdown ablation
   request.allow_pushdown = pushdown;
   if (threshold_goal) {
     request.derived.kind = DerivedKind::kObjectsAboveThreshold;

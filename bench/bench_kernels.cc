@@ -32,7 +32,6 @@
 #include "bench/bench_util.h"
 #include "src/common/aligned.h"
 #include "src/common/rng.h"
-#include "src/common/task_arena.h"
 #include "src/simd/kernels.h"
 #include "src/uncertain/generators.h"
 
@@ -272,8 +271,9 @@ void RunHotpath(benchmark::State& state, const std::string& algo) {
   state.counters["dominance_tests"] =
       static_cast<double>(result.dominance_tests);
   state.counters["nodes_visited"] = static_cast<double>(result.nodes_visited);
-  // Heap allocations of one cold solve, context set-up included: O(1) in
-  // the node count for the traversal solvers.
+  // Heap allocations of one warm solve (not the process's first) on a
+  // fresh, unpooled context, context set-up included: O(1) in the node
+  // count for the traversal solvers.
   state.counters["allocs"] = static_cast<double>(allocs);
 }
 
@@ -292,10 +292,6 @@ void RegisterHotpath() {
 }  // namespace arsp
 
 int main(int argc, char** argv) {
-  // Hotpath measures serial solves: with a one-core budget the engine's
-  // auto policy keeps every solve on the calling thread, so timings and
-  // allocation counts do not depend on the host's core count.
-  arsp::internal::SetCoreBudgetTotalForTesting(1);
   arsp::RegisterHotpath();
   return arsp::bench_util::BenchMain(argc, argv);
 }

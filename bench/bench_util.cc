@@ -72,10 +72,12 @@ ArspResult RunAlgo(const std::string& algo, const UncertainDataset& dataset,
     request.constraints = ConstraintSpec::Region(region);
   }
   request.solver = algo;
-  // Benchmarks measure repeated cold solves: no result cache, no pooled
-  // preprocessing.
+  // Benchmarks measure repeated cold serial solves — the paper's figures
+  // compare serial algorithms: no result cache, no pooled preprocessing,
+  // no intra-query workers.
   request.use_cache = false;
   request.pool_context = false;
+  request.parallelism = 1;
   StatusOr<QueryResponse> response = engine.Solve(request);
   ARSP_CHECK_MSG(response.ok(), "%s", response.status().ToString().c_str());
   ARSP_CHECK(engine.DropDataset(handle).ok());
@@ -124,9 +126,10 @@ ArspResult RunAlgoOnHandle(const std::string& algo, DatasetHandle handle,
   request.solver = algo;
   // The warm view path: pooled contexts (views derive from the base's, so
   // a sweep shares one set of full indexes) but no result cache — every
-  // iteration still runs the solver.
+  // iteration still runs the solver, serially like RunAlgo.
   request.use_cache = false;
   request.pool_context = true;
+  request.parallelism = 1;
   StatusOr<QueryResponse> response = engine.Solve(request);
   ARSP_CHECK_MSG(response.ok(), "%s", response.status().ToString().c_str());
   return ArspEngine::TakeResult(std::move(*response));

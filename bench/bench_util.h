@@ -48,7 +48,8 @@ ArspEngine& SharedEngine();
 /// Runs a registered solver on the dataset through SharedEngine. `wr` is
 /// required for solvers with kCapRequiresWeightRatios and ignored
 /// otherwise. Result caching and context pooling are disabled so each call
-/// pays (and measures) preprocessing + solve, like a cold query.
+/// pays (and measures) preprocessing + solve, like a cold query. The solve
+/// is serial (parallelism = 1), as in the paper's figures.
 ArspResult RunAlgo(const std::string& algo, const UncertainDataset& dataset,
                    const PreferenceRegion& region,
                    const WeightRatioConstraints* wr = nullptr);
@@ -62,11 +63,11 @@ DatasetHandle SharedHandle(const UncertainDataset& full);
 DatasetHandle SharedPrefixHandle(const UncertainDataset& full, int count);
 
 /// Runs a registered solver against an engine handle (dataset or view).
-/// Context pooling is ON and result caching OFF: iterations measure the
-/// warm view path — zero-copy score spans and shared indexes derived from
-/// the base context — which is the point of the Fig. 6 m% sweeps. The
-/// first call on a base pays the one full build; every prefix view after
-/// it is delta work only.
+/// Context pooling is ON, result caching OFF and the solve serial, as in
+/// RunAlgo: iterations measure the warm view path — zero-copy score spans
+/// and shared indexes derived from the base context — which is the point
+/// of the Fig. 6 m% sweeps. The first call on a base pays the one full
+/// build; every prefix view after it is delta work only.
 ArspResult RunAlgoOnHandle(const std::string& algo, DatasetHandle handle,
                            const PreferenceRegion& region,
                            const WeightRatioConstraints* wr = nullptr);

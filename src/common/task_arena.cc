@@ -61,6 +61,25 @@ void CoreBudget::Release(int n) {
 
 int CoreBudget::InUse() { return g_in_use.load(std::memory_order_relaxed); }
 
+namespace {
+thread_local bool t_thread_charged = false;
+}  // namespace
+
+void CoreBudget::MarkThreadCharged() { t_thread_charged = true; }
+
+CoreBudget::CallerSlot::CallerSlot() {
+  if (t_thread_charged) return;
+  Reserve(1);
+  t_thread_charged = true;
+  charged_ = true;
+}
+
+CoreBudget::CallerSlot::~CallerSlot() {
+  if (!charged_) return;
+  t_thread_charged = false;
+  Release(1);
+}
+
 namespace internal {
 void SetCoreBudgetTotalForTesting(int total) {
   g_total_override.store(total, std::memory_order_relaxed);
@@ -181,6 +200,7 @@ bool TaskArena::RunOneTask(int worker) {
 }
 
 void TaskArena::HelperLoop(int worker) {
+  CoreBudget::MarkThreadCharged();  // acquired by the constructor
   while (true) {
     if (RunOneTask(worker)) continue;
     std::unique_lock<std::mutex> lock(mu_);

@@ -12,7 +12,11 @@
 //    full SolveBatch pool can never fan out pool_size × query_threads OS
 //    threads — parallel queries inside a saturated pool degrade gracefully
 //    to serial, which by the determinism contract changes nothing but wall
-//    time.
+//    time. Threads that run queries outside any pool — a daemon's
+//    connection threads, an application's own callers — count too, through
+//    a CallerSlot held for the query (ArspEngine::Solve), so a parallel
+//    query takes helpers only from cores that no in-flight query is using
+//    when it starts.
 //
 //  * TaskArena — a work-stealing task scheduler: per-worker deques that
 //    Submit fills round-robin at the back, each worker pops its own deque
@@ -66,6 +70,26 @@ class CoreBudget {
 
   /// Slots currently in use (diagnostic).
   static int InUse();
+
+  /// Marks the calling thread as already charged: its slot was reserved or
+  /// acquired in bulk by the pool or arena that started it. Worker loops
+  /// call this once, so a CallerSlot on that thread charges nothing.
+  static void MarkThreadCharged();
+
+  /// Charges the calling thread one slot for the scope's lifetime, unless
+  /// the thread is already charged (a pool or arena worker, or an enclosing
+  /// CallerSlot). Like Reserve, it never fails: a budget that is already
+  /// spent only leaves later arenas fewer helpers.
+  class CallerSlot {
+   public:
+    CallerSlot();
+    ~CallerSlot();
+    CallerSlot(const CallerSlot&) = delete;
+    CallerSlot& operator=(const CallerSlot&) = delete;
+
+   private:
+    bool charged_ = false;  // this scope reserved the slot
+  };
 };
 
 namespace internal {

@@ -45,6 +45,7 @@ void ThreadPool::Submit(std::function<void()> task) {
 }
 
 void ThreadPool::WorkerLoop() {
+  CoreBudget::MarkThreadCharged();  // reserved by the constructor
   for (;;) {
     std::function<void()> task;
     {

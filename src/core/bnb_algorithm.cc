@@ -152,15 +152,14 @@ ArspResult RunBnb(ExecutionContext& context, const BnbOptions& options) {
   // parallel section — every aggregated tree is read-only there and each
   // item's σ vector is private, so fanning the per-item loops across the
   // arena is trivially bit-identical to serial (the j-order accumulation
-  // into σ happens inside one task). One arena serves every round; inputs
-  // below the traversal solvers' spawn grain build none, and a budget
-  // grant of a single worker degrades to the serial loop.
+  // into σ happens inside one task). Only a batch of tied-score instances
+  // has two items to fan out, so the arena is built at the first such
+  // batch — a solve without ties holds no helpers — and then serves every
+  // later round. Inputs below internal::ParallelMinRows() build none, and
+  // a budget grant of a single worker keeps the serial loop for the solve.
   std::optional<TaskArena> arena;
-  if (options.parallelism >= 2 &&
-      view.num_instances() >= internal::SpawnMinRows()) {
-    arena.emplace(options.parallelism);
-    if (arena->num_workers() < 2) arena.reset();
-  }
+  bool may_build_arena = options.parallelism >= 2 &&
+                         view.num_instances() >= internal::ParallelMinRows();
 
   // Phase-1 body for one batch item; `probes` receives this item's window
   // probes (accumulated into result.index_probes in item order afterwards,
@@ -270,6 +269,11 @@ ArspResult RunBnb(ExecutionContext& context, const BnbOptions& options) {
     size_t eligible = 0;
     for (const BatchItem& item : batch) {
       if (!item.skip_eval) ++eligible;
+    }
+    if (may_build_arena && eligible >= 2) {
+      may_build_arena = false;
+      arena.emplace(options.parallelism);
+      if (arena->num_workers() < 2) arena.reset();
     }
     if (arena.has_value() && eligible >= 2) {
       probe_counts.assign(batch.size(), 0);

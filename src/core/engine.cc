@@ -304,6 +304,10 @@ Status ArspEngine::DropDataset(DatasetHandle handle) {
 }
 
 StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
+  // The calling thread counts against the core budget while it solves, so
+  // concurrent callers leave a parallel query only the cores they do not
+  // use (batch pool threads are charged already).
+  CoreBudget::CallerSlot caller_slot;
   Stopwatch watch;
   StatusOr<QueryResponse> response = SolveImpl(request);
   if (response.ok() && !latency_ring_.empty()) {
@@ -528,9 +532,10 @@ StatusOr<QueryResponse> ArspEngine::SolveImpl(const QueryRequest& request) {
     if (!solver.ok()) return solver.status();
     // Resolve the worker request: the per-query field wins, then the
     // engine-wide policy, then auto: the process-global core budget, so
-    // intra-query workers and the batch pool never oversubscribe (the
-    // executor's TryAcquire clamps to whatever is actually free at solve
-    // time, and the solver builds no executor for inputs below its grain).
+    // intra-query workers, concurrent callers and the batch pool never
+    // oversubscribe (the executor's TryAcquire clamps to whatever is free
+    // at solve time, and the solver builds no executor for inputs below
+    // internal::ParallelMinRows()).
     int effective_parallelism = request.parallelism;
     if (effective_parallelism == 0) {
       effective_parallelism = options_.query_threads;

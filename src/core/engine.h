@@ -225,11 +225,13 @@ struct EngineOptions {
   int num_threads = 0;
   /// Default intra-query worker budget for requests with parallelism == 0:
   /// 0 = auto (request the whole core budget for every parallel-capable
-  /// query; solvers stay serial on inputs below internal::SpawnMinRows()
+  /// query; solvers stay serial on inputs below internal::ParallelMinRows()
   /// rows), 1 = serial unless a request asks, N ≥ 2 = request N workers
   /// for every parallel-capable query. Actual grants never exceed what the
   /// process-global core budget (ARSP_THREADS / hardware concurrency) has
-  /// free, so queries inside a busy SolveBatch pool run serially.
+  /// free, and every thread inside Solve is charged against it, so queries
+  /// inside a busy SolveBatch pool, or among as many concurrent callers as
+  /// cores, run serially.
   int query_threads = 0;
   /// Ring-buffer window for per-request latency percentiles (latency_stats);
   /// 0 disables latency tracking.

@@ -75,13 +75,21 @@ class PathChain {
 Status ReadParallelism(const SolverOptions& options, int* parallelism);
 
 /// Row count from which a non-terminal node hands each child to the
-/// executor as a task (the spawn grain). Inputs below it build no executor
-/// at all. On the Fig. 6 NBA workload 512–4096 measure the same; 16384
-/// leaves a 405K-instance solve too few tasks.
+/// executor as a task (the spawn grain). On the Fig. 6 NBA workload
+/// 512–4096 measure the same; 16384 leaves a 405K-instance solve too few
+/// tasks.
 inline constexpr int kSpawnMinRows = 1024;
 
 /// The active spawn grain: kSpawnMinRows unless a test overrides it.
 int SpawnMinRows();
+
+/// Input rows from which a parallel-capable solver builds an executor at
+/// all: twice the grain, so a median split's children spawn in turn. Below
+/// it the root's own children are the only tasks (two under KDTT+): NBA-like
+/// inputs of 1.1K rows solved 15% slower on 4 workers than serially and
+/// 1.4–1.9K rows 1.0–1.5x faster, while 2.1K rows (6 tasks) solved 2.2x
+/// faster.
+inline int ParallelMinRows() { return 2 * SpawnMinRows(); }
 
 /// Test hook: overrides SpawnMinRows() (0 restores kSpawnMinRows).
 void SetSpawnMinRowsForTesting(int rows);
@@ -308,7 +316,7 @@ class AspWalker {
 
 /// Solves the context's query with an AspWalker over `split`: sets up the
 /// goal pruner, then runs the walker on a ParallelExecutor when
-/// `parallelism` >= 2, the input holds at least SpawnMinRows() rows and
+/// `parallelism` >= 2, the input holds at least ParallelMinRows() rows and
 /// the core budget grants at least two workers, and on a single serial
 /// lane otherwise.
 template <typename Split>
@@ -327,7 +335,7 @@ ArspResult SolveAspTraversal(ExecutionContext& context, int parallelism,
   std::optional<SharedGoalState> shared;
   std::optional<ParallelExecutor> executor;
   std::optional<TraversalLane> serial_lane;
-  if (parallelism >= 2 && scores.n >= spawn_min_rows) {
+  if (parallelism >= 2 && scores.n >= ParallelMinRows()) {
     shared.emplace(active);
     executor.emplace(parallelism, view.num_objects(), &*shared,
                      scores.objects);

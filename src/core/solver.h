@@ -78,7 +78,7 @@ enum SolverCaps : uint32_t {
   /// without the savings.
   kCapGoalPushdown = 1u << 6,
   /// Honors the "parallelism" solver option: splits the traversal across a
-  /// work-stealing TaskArena (inputs of at least internal::SpawnMinRows()
+  /// work-stealing TaskArena (inputs of at least internal::ParallelMinRows()
   /// rows), with results bit-identical to the serial run by contract (see
   /// ARCHITECTURE.md, "Intra-query parallel executor"). Solvers without
   /// this flag reject the option.

@@ -42,9 +42,10 @@ using testing_util::WrRegion;
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
 
 // Spawn grains swept by the full-solve sweeps; 0 = the default
-// (internal::kSpawnMinRows, above every small sweep dataset, so those
-// solves must build no executor). The small grains make the sweep datasets
-// spawn nested tasks several levels deep.
+// (internal::kSpawnMinRows, whose internal::ParallelMinRows() is above
+// every small sweep dataset, so those solves must build no executor). The
+// small grains make the sweep datasets spawn nested tasks several levels
+// deep.
 constexpr int kSpawnGrains[] = {0, 16, 2};
 
 // Probabilities of goal-pushed answers may carry per-run β drift (skipped
@@ -120,7 +121,8 @@ void ExpectSameWork(const ArspResult& serial, const ArspResult& parallel,
 // spawn grain, bitwise and with the serial work counters; a repeated run
 // checks the task-spawn count is deterministic (steal counts are
 // scheduling noise and deliberately never compared). Inputs of at least
-// the grain's rows must really spawn; smaller ones must stay serial.
+// ParallelMinRows() (twice the grain) must really spawn; smaller ones must
+// stay serial.
 void SweepFullSolve(const std::string& name, ExecutionContext& context,
                     const std::vector<int>& grains = {std::begin(kSpawnGrains),
                                                       std::end(kSpawnGrains)}) {
@@ -134,7 +136,7 @@ void SweepFullSolve(const std::string& name, ExecutionContext& context,
 
   for (int grain : grains) {
     ScopedSpawnGrain spawn_grain(grain);
-    const bool decomposes = rows >= internal::SpawnMinRows();
+    const bool decomposes = rows >= internal::ParallelMinRows();
     for (int threads : kThreadCounts) {
       const std::string label = name + "/t" + std::to_string(threads) +
                                 "/grain" + std::to_string(grain);
@@ -149,10 +151,12 @@ void SweepFullSolve(const std::string& name, ExecutionContext& context,
       if (threads >= 2 && decomposes) {
         // The pinned budget grants exactly `threads` workers, so the worker
         // count and the spawn rule's task decomposition are deterministic.
-        EXPECT_EQ(parallel->parallel_workers, threads);
-        // B&B spawns only for batches of tied-score instances, which the
-        // continuous random datasets do not have.
-        if (name != "bnb") {
+        // B&B builds its arena only at the first batch of tied-score
+        // instances, which the continuous random datasets do not have.
+        if (name == "bnb" && parallel->tasks_spawned == 0) {
+          EXPECT_EQ(parallel->parallel_workers, 0);
+        } else {
+          EXPECT_EQ(parallel->parallel_workers, threads);
           EXPECT_GT(parallel->tasks_spawned, 0)
               << name << ": an input above the grain spawned no tasks";
         }
@@ -162,7 +166,7 @@ void SweepFullSolve(const std::string& name, ExecutionContext& context,
             << name << ": task decomposition drifted between runs";
         ExpectBitIdentical(*serial, *rerun, label + "/rerun");
       } else {
-        // One worker, or an input below the grain: no executor at all.
+        // One worker, or an input below ParallelMinRows(): no executor.
         EXPECT_EQ(parallel->tasks_spawned, 0);
         EXPECT_EQ(parallel->tasks_stolen, 0);
       }
@@ -255,10 +259,38 @@ TEST(ParallelDeterminism, FullSolveSweepOnBaseContexts) {
 // with no test override, into tasks that spawn tasks.
 TEST(ParallelDeterminism, FullSolveSweepSpawnsAtTheDefaultGrain) {
   const UncertainDataset dataset = RandomDataset(2000, 4, 3, 0.4, 1250);
-  ASSERT_GE(dataset.num_instances(), internal::kSpawnMinRows);
+  ASSERT_GE(dataset.num_instances(), internal::ParallelMinRows());
   ExecutionContext context(dataset, RandomWr(dataset.dim(), 1250));
   for (const std::string& name : ParallelSolverNames()) {
     SweepFullSolve(name, context, {0});
+  }
+}
+
+// B&B fans out only batches of tied-score instances and builds its arena at
+// the first one: grid coordinates tie, continuous ones do not, and a solve
+// without ties holds no helpers.
+TEST(ParallelDeterminism, BnbBuildsItsArenaOnlyForTiedBatches) {
+  ScopedSpawnGrain spawn_grain(16);
+  ScopedBudget budget(4);
+  const int base = CoreBudget::InUse();
+  for (bool grid : {true, false}) {
+    SCOPED_TRACE(grid ? "grid" : "continuous");
+    const UncertainDataset dataset = RandomDataset(60, 4, 2, 0.4, 1260, grid);
+    ExecutionContext context(dataset, RandomWr(dataset.dim(), 1260));
+    auto serial = MakeSolver("bnb", 0)->Solve(context);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    auto parallel = MakeSolver("bnb", 4)->Solve(context);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    ExpectBitIdentical(*serial, *parallel, "bnb");
+    ExpectSameWork(*serial, *parallel, "bnb");
+    if (grid) {
+      EXPECT_GT(parallel->tasks_spawned, 0);
+      EXPECT_EQ(parallel->parallel_workers, 4);
+    } else {
+      EXPECT_EQ(parallel->tasks_spawned, 0);
+      EXPECT_EQ(parallel->parallel_workers, 0);
+    }
+    EXPECT_EQ(CoreBudget::InUse(), base);
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -63,6 +64,53 @@ TEST(CoreBudgetTest, ThreadPoolChargesTheBudget) {
     CoreBudget::Release(granted);
   }
   EXPECT_EQ(CoreBudget::InUse(), base);  // pool destructor released
+}
+
+TEST(CoreBudgetTest, CallerSlotChargesEachThreadOnce) {
+  ScopedBudget budget(4);
+  const int base = CoreBudget::InUse();
+  {
+    CoreBudget::CallerSlot outer;
+    EXPECT_EQ(CoreBudget::InUse(), base + 1);
+    {
+      CoreBudget::CallerSlot nested;  // same thread: charges nothing more
+      EXPECT_EQ(CoreBudget::InUse(), base + 1);
+    }
+    EXPECT_EQ(CoreBudget::InUse(), base + 1);
+    // The caller's slot is taken, so an arena gets helpers for the rest.
+    TaskArena arena(8);
+    EXPECT_EQ(arena.num_workers(), 4 - base);
+  }
+  EXPECT_EQ(CoreBudget::InUse(), base);
+  {
+    // Pool and arena workers were charged when they started: a slot on
+    // one of their threads charges nothing.
+    ThreadPool pool(2);
+    std::atomic<int> in_task{-1};
+    std::atomic<bool> done{false};
+    pool.Submit([&in_task, &done] {
+      CoreBudget::CallerSlot slot;
+      in_task.store(CoreBudget::InUse());
+      done.store(true);
+    });
+    while (!done.load()) std::this_thread::yield();
+    EXPECT_EQ(in_task.load(), base + 2);
+  }
+  {
+    CoreBudget::CallerSlot caller;
+    TaskArena arena(4);
+    const int charged = CoreBudget::InUse();  // caller + helpers
+    std::atomic<bool> grew{false};
+    for (int i = 0; i < 64; ++i) {
+      arena.Submit([&grew, charged](int) {
+        CoreBudget::CallerSlot slot;
+        if (CoreBudget::InUse() != charged) grew.store(true);
+      });
+    }
+    arena.RunAndWait();
+    EXPECT_FALSE(grew.load());
+  }
+  EXPECT_EQ(CoreBudget::InUse(), base);
 }
 
 TEST(TaskArenaTest, RunsEveryTaskExactlyOnce) {

@@ -61,9 +61,9 @@ void PrintUsage() {
       "             [--query-threads N]   (intra-query workers: 0 = auto, the\n"
       "                                    whole core budget; 1 = serial;\n"
       "                                    N >= 2 = N per query; grants come\n"
-      "                                    from the free core budget, and\n"
-      "                                    inputs under 1024 instances stay\n"
-      "                                    serial)\n"
+      "                                    from the cores no other query is\n"
+      "                                    using, and inputs under 2048\n"
+      "                                    instances stay serial)\n"
       "             [--load name=csv:PATH[:header]] [--load name=gen:SPEC]\n"
       "             [--shards H:P[,H:P...]] [--replication N]\n"
       "             [--client-qps F] [--client-burst F] [--max-pending N]\n"
