@@ -22,25 +22,6 @@ std::string StripScopeSuffix(const std::string& goal) {
   return pos == std::string::npos ? goal : goal.substr(0, pos);
 }
 
-void AddStats(WireSolverStats* total, const WireSolverStats& part) {
-  if (total->solver.empty()) total->solver = part.solver;
-  total->setup_millis += part.setup_millis;
-  total->solve_millis += part.solve_millis;
-  total->dominance_tests += part.dominance_tests;
-  total->nodes_visited += part.nodes_visited;
-  total->nodes_pruned += part.nodes_pruned;
-  total->index_probes += part.index_probes;
-  total->objects_pruned += part.objects_pruned;
-  total->bound_refinements += part.bound_refinements;
-  total->early_exit_depth =
-      std::max(total->early_exit_depth, part.early_exit_depth);
-  total->tasks_spawned += part.tasks_spawned;
-  total->tasks_stolen += part.tasks_stolen;
-  // Workers sum across shards: the merged figure is the cluster-wide
-  // intra-query worker count, matching how the timing fields add up.
-  total->parallel_workers += part.parallel_workers;
-}
-
 // Stitches one shard reply's span subtree (if it carries one) under the
 // trace's innermost open span — called with the scatter/refine span open,
 // strictly after RunParallel returned (the Trace is single-threaded).
@@ -319,7 +300,7 @@ StatusOr<QueryResponseWire> Coordinator::ScatterFull(
     const QueryResponseWire& part = *results[i];
     if (out.solver.empty()) out.solver = part.solver;
     out.cache_hit = out.cache_hit && part.cache_hit;
-    AddStats(&out.stats, part.stats);
+    out.stats.MergeShard(part.stats);
     if (part.result_size >= 0) out.result_size += part.result_size;
     if (request.include_instances) {
       // Disjoint contiguous slices placed at their offsets reassemble the
@@ -396,7 +377,7 @@ StatusOr<QueryResponseWire> Coordinator::ScatterRanked(
       out.cache_hit = out.cache_hit && part.cache_hit;
       out.pushdown = out.pushdown || part.pushdown;
       out.complete = out.complete && part.complete;
-      AddStats(&out.stats, part.stats);
+      out.stats.MergeShard(part.stats);
       candidates.insert(candidates.end(), part.ranked.begin(),
                         part.ranked.end());
       for (const ObjectReportWire& report : part.object_reports) {
@@ -469,7 +450,7 @@ StatusOr<QueryResponseWire> Coordinator::ScatterRanked(
       AdoptShardTrace(
           trace, *refined[i],
           placement.holders[static_cast<size_t>(refine[i].holder)]);
-      AddStats(&out.stats, refined[i]->stats);
+      out.stats.MergeShard(refined[i]->stats);
       out.cache_hit = out.cache_hit && refined[i]->cache_hit;
       if (!refined[i]->ranked.empty()) {
         candidates.push_back(refined[i]->ranked.front());

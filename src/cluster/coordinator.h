@@ -74,7 +74,6 @@ using net::RankedEntry;
 using net::StatsRequest;
 using net::StatsResponse;
 using net::WireDerivedKind;
-using net::WireSolverStats;
 
 struct CoordinatorOptions {
   ShardPlanOptions plan;

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/core/query_goal.h"
+#include "src/core/work_counters.h"
 #include "src/uncertain/dataset_view.h"
 #include "src/uncertain/uncertain_dataset.h"
 
@@ -46,8 +47,10 @@ enum class ObjectDecision : uint8_t {
   kExcluded = 2,   ///< bounds proved the object cannot be in the answer
 };
 
-/// Output of an ARSP computation.
-struct ArspResult {
+/// Output of an ARSP computation. The inherited work counters are the
+/// solve's diagnostics (not every algorithm fills every counter; the
+/// data-plane memory rows are filled into SolverStats, not here).
+struct ArspResult : WorkCounters {
   /// instance_probs[i] = Pr_rsky of the instance with local id i. In a
   /// partial result, entries of undecided/excluded objects' unevaluated
   /// instances are 0 placeholders — meaningless, guarded by is_complete().
@@ -74,23 +77,6 @@ struct ArspResult {
            object_decisions[static_cast<size_t>(j)] !=
                ObjectDecision::kUndecided;
   }
-
-  /// Diagnostic counters (not all algorithms fill all of them).
-  int64_t dominance_tests = 0;   ///< pairwise F-dominance tests performed
-  int64_t nodes_visited = 0;     ///< tree nodes expanded / constructed
-  int64_t nodes_pruned = 0;      ///< subtrees pruned
-  int64_t index_probes = 0;      ///< window / half-space index probes issued
-  /// Goal-pushdown counters (zero unless a GoalPruner was active).
-  int64_t objects_pruned = 0;      ///< objects decided out by bounds
-  int64_t bound_refinements = 0;   ///< per-object bound updates applied
-  int64_t early_exit_depth = 0;    ///< traversal depth (or B&B round) at the
-                                   ///< global goal-met stop; 0 = ran to end
-  /// Intra-query parallelism counters (zero for serial runs). tasks_stolen
-  /// is scheduling-dependent and excluded from determinism comparisons;
-  /// everything else in this struct is bit-identical to the serial run.
-  int64_t tasks_spawned = 0;     ///< subtree tasks submitted to the arena
-  int64_t tasks_stolen = 0;      ///< tasks claimed by a non-owning worker
-  int64_t parallel_workers = 0;  ///< arena workers granted (incl. caller)
 };
 
 /// Number of instances with non-zero rskyline probability — the paper's

@@ -31,6 +31,7 @@
 #include "src/common/macros.h"
 #include "src/core/arsp_result.h"
 #include "src/core/solver.h"
+#include "src/core/work_counters.h"
 #include "src/geometry/point.h"
 #include "src/prefs/score_mapper.h"
 #include "src/simd/kernels.h"
@@ -150,34 +151,6 @@ class AspTraversalState {
   int chi_ = 0;
   uint64_t scope_ = 0;       // 0 = outside every scope
   uint64_t next_scope_ = 0;  // ids are never reused
-};
-
-/// Per-lane traversal counters. Lanes accumulate privately and the driver
-/// sums them at merge time; every field is an associative-commutative sum
-/// (or, for early_exit_depth, a max), so the merged totals equal the serial
-/// totals no matter how subtrees were distributed over lanes.
-struct TraversalCounters {
-  int64_t dominance_tests = 0;
-  int64_t nodes_visited = 0;
-  int64_t nodes_pruned = 0;
-  int64_t early_exit_depth = 0;
-
-  void MergeFrom(const TraversalCounters& other) {
-    dominance_tests += other.dominance_tests;
-    nodes_visited += other.nodes_visited;
-    nodes_pruned += other.nodes_pruned;
-    if (other.early_exit_depth > early_exit_depth) {
-      early_exit_depth = other.early_exit_depth;
-    }
-  }
-
-  /// Copies the totals into a fresh result's counter fields.
-  void StoreInto(ArspResult* result) const {
-    result->dominance_tests = dominance_tests;
-    result->nodes_visited = nodes_visited;
-    result->nodes_pruned = nodes_pruned;
-    result->early_exit_depth = early_exit_depth;
-  }
 };
 
 /// Cross-lane goal-pushdown state: wraps the query's single authoritative
@@ -324,7 +297,7 @@ struct TraversalLane {
   /// stack: a node's kept list is pushed on top of its parent's.
   std::vector<int> candidates;
   std::vector<unsigned char> class_scratch;
-  TraversalCounters counters;
+  WorkCounters counters;  // merged over lanes by WorkCounters::MergeFrom
   GoalChannel channel;
   bool stopped = false;  // this lane saw the global goal-met early exit
 
@@ -465,7 +438,7 @@ inline bool HandleAspTerminal(const ScoreSpan& scores,
                               const std::vector<int>& order, int begin,
                               int end, const double* pmin, const double* pmax,
                               const AspTraversalState& state, double* probs,
-                              TraversalCounters* counters,
+                              WorkCounters* counters,
                               GoalChannel* channel) {
   if (state.chi() >= 2) {
     if (channel->active()) {

@@ -110,6 +110,7 @@ ArspResult Dual2dMs::Query(double ratio_lo, double ratio_hi) const {
         std::upper_bound(row.angles.begin(), row.angles.end(), theta_hi);
     const size_t a = static_cast<size_t>(begin_it - row.angles.begin());
     const size_t b = static_cast<size_t>(end_it - row.angles.begin());
+    ++result.index_probes;  // one angular-range lookup per instance
     if (row.prefix_zeros[b] - row.prefix_zeros[a] > 0) {
       result.instance_probs[ti] = 0.0;  // a certain dominator in range
     } else {

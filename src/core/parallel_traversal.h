@@ -18,7 +18,8 @@
 // bit-identical values whichever lane runs it. A subtree touches only its
 // own slice of the shared `order` permutation and the instance_probs
 // entries of that slice, so lanes write disjoint entries and need no merge;
-// counters are associative sums (see TraversalCounters).
+// lane counters merge by their work-counter rules (sums, and a max for
+// early_exit_depth), so the totals equal the serial run's.
 //
 // Goal pushdown under parallelism flows through SharedGoalState (declared
 // in asp_traversal_state.h, defined here): lanes buffer resolutions and
@@ -145,10 +146,10 @@ class ParallelExecutor {
     lanes_[0].channel.Flush();
   }
 
-  /// Lane-summed counters; call after RunAndWait(). Totals equal the
-  /// serial run's (associative sums / max — see TraversalCounters).
-  TraversalCounters MergedCounters() const {
-    TraversalCounters total;
+  /// Lane-merged counters; call after RunAndWait(). Totals equal the
+  /// serial run's.
+  WorkCounters MergedCounters() const {
+    WorkCounters total;
     for (const TraversalLane& lane : lanes_) total.MergeFrom(lane.counters);
     return total;
   }
@@ -354,12 +355,12 @@ ArspResult SolveAspTraversal(ExecutionContext& context, int parallelism,
   walker.Run(executor.has_value() ? executor->main_lane() : *serial_lane);
   if (executor.has_value()) {
     executor->RunAndWait();
-    executor->MergedCounters().StoreInto(&result);
+    static_cast<WorkCounters&>(result) = executor->MergedCounters();
     result.tasks_spawned = executor->tasks_spawned();
     result.tasks_stolen = executor->tasks_stolen();
     result.parallel_workers = executor->num_workers();
   } else {
-    serial_lane->counters.StoreInto(&result);
+    static_cast<WorkCounters&>(result) = serial_lane->counters;
   }
   pruner.Finish(&result);
   return result;

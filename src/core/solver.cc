@@ -71,18 +71,10 @@ const char* TypeName(const SolverOptions::Value& v) {
 std::string SolverStats::ToString() const {
   std::ostringstream os;
   os << "solver=" << solver << " setup_ms=" << setup_millis
-     << " solve_ms=" << solve_millis << " dominance_tests=" << dominance_tests
-     << " nodes_visited=" << nodes_visited << " nodes_pruned=" << nodes_pruned
-     << " index_probes=" << index_probes
-     << " objects_pruned=" << objects_pruned
-     << " bound_refinements=" << bound_refinements
-     << " early_exit=" << early_exit_depth
-     << " index_resident_bytes=" << index_bytes_resident
-     << " index_mapped_bytes=" << index_bytes_mapped
-     << " peak_rss_bytes=" << peak_rss_bytes
-     << " tasks_spawned=" << tasks_spawned
-     << " tasks_stolen=" << tasks_stolen
-     << " parallel_workers=" << parallel_workers;
+     << " solve_ms=" << solve_millis;
+  for (const WorkCounterInfo& c : kWorkCounters) {
+    os << ' ' << c.name << '=' << this->*c.field;
+  }
   return os.str();
 }
 
@@ -92,25 +84,16 @@ void SolverStats::AnnotateSpan(obs::ScopedSpan* span) const {
   char ms[32];
   std::snprintf(ms, sizeof(ms), "%.3f", setup_millis);
   span->Annotate("setup_ms", std::string(ms));
-  span->Annotate("dominance_tests", dominance_tests);
-  span->Annotate("nodes_visited", nodes_visited);
-  span->Annotate("nodes_pruned", nodes_pruned);
-  span->Annotate("index_probes", index_probes);
-  if (objects_pruned != 0) span->Annotate("objects_pruned", objects_pruned);
-  if (bound_refinements != 0) {
-    span->Annotate("bound_refinements", bound_refinements);
+  for (const WorkCounterInfo& c : kWorkCounters) {
+    if (this->*c.field != 0) span->Annotate(c.name, this->*c.field);
   }
-  if (early_exit_depth != 0) {
-    span->Annotate("early_exit_depth", early_exit_depth);
-  }
-  if (index_bytes_mapped != 0) {
-    span->Annotate("index_bytes_mapped", index_bytes_mapped);
-  }
-  if (tasks_spawned != 0) {
-    span->Annotate("tasks_spawned", tasks_spawned);
-    span->Annotate("tasks_stolen", tasks_stolen);
-    span->Annotate("parallel_workers", parallel_workers);
-  }
+}
+
+void SolverStats::MergeShard(const SolverStats& part) {
+  if (solver.empty()) solver = part.solver;
+  setup_millis += part.setup_millis;
+  solve_millis += part.solve_millis;
+  MergeFrom(part);
 }
 
 // -------------------------------------------------------------- options
@@ -844,16 +827,7 @@ StatusOr<ArspResult> ArspSolver::Solve(ExecutionContext& context,
   if (!result.ok()) return result;
   stats.solve_millis = sw.ElapsedMillis();
   stats.setup_millis = context.total_setup_millis() - setup_before;
-  stats.dominance_tests = result->dominance_tests;
-  stats.nodes_visited = result->nodes_visited;
-  stats.nodes_pruned = result->nodes_pruned;
-  stats.index_probes = result->index_probes;
-  stats.objects_pruned = result->objects_pruned;
-  stats.bound_refinements = result->bound_refinements;
-  stats.early_exit_depth = result->early_exit_depth;
-  stats.tasks_spawned = result->tasks_spawned;
-  stats.tasks_stolen = result->tasks_stolen;
-  stats.parallel_workers = result->parallel_workers;
+  static_cast<WorkCounters&>(stats) = *result;
   // Index artifacts live on the root ancestor (children delegate R-trees,
   // alias the kd-tree, and share the score span), and IndexMemoryFootprint
   // charges each artifact to its owning context so engine-wide sums don't

@@ -40,6 +40,7 @@
 #include "src/common/column.h"
 #include "src/common/status.h"
 #include "src/core/arsp_result.h"
+#include "src/core/work_counters.h"
 #include "src/index/kdtree.h"
 #include "src/index/rtree.h"
 #include "src/obs/trace.h"
@@ -87,40 +88,24 @@ enum SolverCaps : uint32_t {
 
 /// Uniform instrumentation for one Solve() run: wall time split into the
 /// context preprocessing this run triggered vs. the traversal itself, plus
-/// the algorithm counters mirrored from ArspResult.
-struct SolverStats {
+/// the work counters — the result's, and the data-plane memory rows taken
+/// after the run (the context's index and score bytes split by where they
+/// live, heap-owned vs. snapshot-mapped, and the process peak RSS).
+struct SolverStats : WorkCounters {
   std::string solver;            ///< canonical solver name
   double setup_millis = 0.0;     ///< lazy context preprocessing this run paid
   double solve_millis = 0.0;     ///< total Solve() wall time (includes setup)
-  int64_t dominance_tests = 0;   ///< pairwise F-dominance tests
-  int64_t nodes_visited = 0;     ///< tree nodes expanded / constructed
-  int64_t nodes_pruned = 0;      ///< subtrees pruned
-  int64_t index_probes = 0;      ///< window / half-space index probes
-  /// Goal-pushdown counters (zero for full-goal runs; see GoalPruner).
-  int64_t objects_pruned = 0;     ///< objects decided out by bounds
-  int64_t bound_refinements = 0;  ///< per-object bound updates applied
-  int64_t early_exit_depth = 0;   ///< depth of the global goal-met stop
-  /// Data-plane memory accounting, taken after the run: the context's index
-  /// and score artifacts split by where their bytes live (heap-owned vs.
-  /// snapshot-mapped), plus the process peak RSS (0 when the platform
-  /// cannot report it).
-  int64_t index_bytes_resident = 0;  ///< heap-owned index/score bytes
-  int64_t index_bytes_mapped = 0;    ///< snapshot-borrowed (mmap) bytes
-  int64_t peak_rss_bytes = 0;        ///< getrusage peak RSS of the process
-  /// Intra-query parallelism counters (zero for serial runs).
-  int64_t tasks_spawned = 0;    ///< subtree tasks submitted to the arena
-  int64_t tasks_stolen = 0;     ///< tasks claimed by a non-owning worker
-  int64_t parallel_workers = 0;  ///< arena workers granted (incl. caller)
 
   /// One-line "k=v" rendering for logs and arsp_cli --stats.
   std::string ToString() const;
 
-  /// Annotates a trace span with the run's counters (zero-valued optional
-  /// counters — the goal-pushdown and parallelism groups — are skipped to
-  /// keep span trees readable). No-op on a disabled span. The counter list
-  /// lives here, next to the struct, so the engine's solve span and any
-  /// future reporter cannot drift from the fields.
+  /// Annotates a trace span with the solver, setup time and every non-zero
+  /// counter. No-op on a disabled span.
   void AnnotateSpan(obs::ScopedSpan* span) const;
+
+  /// Folds one shard's stats into a cluster total: times add, counters
+  /// merge by their table rule, the first non-empty solver name wins.
+  void MergeShard(const SolverStats& part);
 };
 
 /// Typed option bag passed to ArspSolver::Configure. Values keep the type

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 
 namespace arsp {
 namespace net {
@@ -201,13 +202,18 @@ std::string WireReader::Str() {
   return s;
 }
 
-std::vector<double> WireReader::F64Vec() {
+uint32_t WireReader::Count(size_t min_bytes_each, const char* what) {
   const uint32_t count = U32();
-  // Count-vs-remaining check before allocating: 8 bytes per element.
-  if (!status_.ok() || buf_.size() - pos_ < static_cast<size_t>(count) * 8) {
-    Fail("f64 vector count exceeds payload");
-    return {};
+  if (!status_.ok()) return 0;
+  if ((buf_.size() - pos_) / min_bytes_each < count) {
+    Fail(std::string(what) + " exceeds payload");
+    return 0;
   }
+  return count;
+}
+
+std::vector<double> WireReader::F64Vec() {
+  const uint32_t count = Count(8, "f64 vector count");
   std::vector<double> v;
   v.reserve(count);
   for (uint32_t i = 0; i < count; ++i) v.push_back(F64());
@@ -215,11 +221,7 @@ std::vector<double> WireReader::F64Vec() {
 }
 
 std::vector<int> WireReader::I32Vec() {
-  const uint32_t count = U32();
-  if (!status_.ok() || buf_.size() - pos_ < static_cast<size_t>(count) * 4) {
-    Fail("i32 vector count exceeds payload");
-    return {};
-  }
+  const uint32_t count = Count(4, "i32 vector count");
   std::vector<int> v;
   v.reserve(count);
   for (uint32_t i = 0; i < count; ++i) v.push_back(I32());
@@ -227,12 +229,8 @@ std::vector<int> WireReader::I32Vec() {
 }
 
 std::vector<std::string> WireReader::StrVec() {
-  const uint32_t count = U32();
   // Each element costs at least its 4-byte length prefix.
-  if (!status_.ok() || buf_.size() - pos_ < static_cast<size_t>(count) * 4) {
-    Fail("string vector count exceeds payload");
-    return {};
-  }
+  const uint32_t count = Count(4, "string vector count");
   std::vector<std::string> v;
   v.reserve(count);
   for (uint32_t i = 0; i < count; ++i) v.push_back(Str());
@@ -386,84 +384,34 @@ Status QueryRequestWire::DecodePayload(const std::string& bytes) {
   return Status::OK();
 }
 
-WireSolverStats WireSolverStats::From(const SolverStats& stats) {
-  WireSolverStats w;
-  w.solver = stats.solver;
-  w.setup_millis = stats.setup_millis;
-  w.solve_millis = stats.solve_millis;
-  w.dominance_tests = stats.dominance_tests;
-  w.nodes_visited = stats.nodes_visited;
-  w.nodes_pruned = stats.nodes_pruned;
-  w.index_probes = stats.index_probes;
-  w.objects_pruned = stats.objects_pruned;
-  w.bound_refinements = stats.bound_refinements;
-  w.early_exit_depth = stats.early_exit_depth;
-  w.index_bytes_resident = stats.index_bytes_resident;
-  w.index_bytes_mapped = stats.index_bytes_mapped;
-  w.peak_rss_bytes = stats.peak_rss_bytes;
-  w.tasks_spawned = stats.tasks_spawned;
-  w.tasks_stolen = stats.tasks_stolen;
-  w.parallel_workers = stats.parallel_workers;
-  return w;
-}
-
-SolverStats WireSolverStats::ToSolverStats() const {
-  SolverStats s;
-  s.solver = solver;
-  s.setup_millis = setup_millis;
-  s.solve_millis = solve_millis;
-  s.dominance_tests = dominance_tests;
-  s.nodes_visited = nodes_visited;
-  s.nodes_pruned = nodes_pruned;
-  s.index_probes = index_probes;
-  s.objects_pruned = objects_pruned;
-  s.bound_refinements = bound_refinements;
-  s.early_exit_depth = early_exit_depth;
-  s.index_bytes_resident = index_bytes_resident;
-  s.index_bytes_mapped = index_bytes_mapped;
-  s.peak_rss_bytes = peak_rss_bytes;
-  s.tasks_spawned = tasks_spawned;
-  s.tasks_stolen = tasks_stolen;
-  s.parallel_workers = parallel_workers;
-  return s;
-}
+namespace {
+constexpr size_t kCounterEntryBytes = 2 + 8;  // u16 id + i64 value
+}  // namespace
 
 void WireSolverStats::Encode(WireWriter& w) const {
   w.Str(solver);
   w.F64(setup_millis);
   w.F64(solve_millis);
-  w.I64(dominance_tests);
-  w.I64(nodes_visited);
-  w.I64(nodes_pruned);
-  w.I64(index_probes);
-  w.I64(objects_pruned);
-  w.I64(bound_refinements);
-  w.I64(early_exit_depth);
-  w.I64(index_bytes_resident);
-  w.I64(index_bytes_mapped);
-  w.I64(peak_rss_bytes);
-  w.I64(tasks_spawned);
-  w.I64(tasks_stolen);
-  w.I64(parallel_workers);
+  w.U32(static_cast<uint32_t>(std::size(kWorkCounters)));
+  for (const WorkCounterInfo& c : kWorkCounters) {
+    w.U16(c.wire_id);
+    w.I64(this->*c.field);
+  }
 }
 
 void WireSolverStats::Decode(WireReader& r) {
   solver = r.Str();
   setup_millis = r.F64();
   solve_millis = r.F64();
-  dominance_tests = r.I64();
-  nodes_visited = r.I64();
-  nodes_pruned = r.I64();
-  index_probes = r.I64();
-  objects_pruned = r.I64();
-  bound_refinements = r.I64();
-  early_exit_depth = r.I64();
-  index_bytes_resident = r.I64();
-  index_bytes_mapped = r.I64();
-  peak_rss_bytes = r.I64();
-  tasks_spawned = r.I64();
-  tasks_stolen = r.I64();
-  parallel_workers = r.I64();
+  static_cast<WorkCounters&>(*this) = WorkCounters{};
+  const uint32_t count = r.Count(kCounterEntryBytes, "work counter count");
+  for (uint32_t i = 0; i < count; ++i) {
+    const uint16_t id = r.U16();
+    const int64_t value = r.I64();
+    for (const WorkCounterInfo& c : kWorkCounters) {
+      if (c.wire_id == id) this->*c.field = value;
+    }
+  }
 }
 
 std::string QueryResponseWire::EncodePayload() const {

@@ -59,9 +59,9 @@ inline constexpr uint16_t kWireMagic = 0xA75F;
 ///     daemon's process peak RSS — so a client can see whether a dataset is
 ///     served from heap-built indexes or a mapped snapshot.
 /// v5 (intra-query parallelism): QueryRequestWire grew `parallelism` (the
-///     per-query worker request), WireSolverStats grew the executor
-///     counters (tasks_spawned / tasks_stolen / parallel_workers), and
-///     StatsResponse grew the daemon's configured query_threads policy.
+///     per-query worker request), WireSolverStats grew the three executor
+///     counters, and StatsResponse grew the daemon's configured
+///     query_threads policy.
 /// v6 (observability): QueryRequestWire grew `trace_id` + `want_trace`
 ///     (distributed tracing: the coordinator stamps its trace id into
 ///     scattered frames), QueryResponseWire grew `trace_id` + `trace_spans`
@@ -69,7 +69,10 @@ inline constexpr uint16_t kWireMagic = 0xA75F;
 ///     StatsResponse grew the tail latency percentiles (p99 / p99.9), and
 ///     the METRICS / TRACE message pair was added (Prometheus text dump and
 ///     most-recent-trace fetch).
-inline constexpr uint8_t kWireVersion = 6;
+/// v7 (one counter table): WireSolverStats carries its work counters as a
+///     counted (id, value) list instead of one fixed i64 per counter;
+///     unknown ids are skipped, so new counters need no further bump.
+inline constexpr uint8_t kWireVersion = 7;
 
 /// Max payload bytes a peer will accept (the max-frame guard). Large enough
 /// for a multi-million-instance probability vector, small enough that a
@@ -160,6 +163,10 @@ class WireReader {
   std::vector<double> F64Vec();
   std::vector<int> I32Vec();
   std::vector<std::string> StrVec();
+  /// Reads a u32 element count and fails (returning 0) when `count` elements
+  /// of at least `min_bytes_each` bytes cannot fit in the rest of the
+  /// payload — the check every counted read makes before allocating.
+  uint32_t Count(size_t min_bytes_each, const char* what);
 
   /// OK iff every read so far stayed in bounds.
   const Status& status() const { return status_; }
@@ -280,31 +287,16 @@ struct QueryRequestWire {
   Status DecodePayload(const std::string& bytes);
 };
 
-/// Wire form of SolverStats; field-for-field.
-struct WireSolverStats {
-  std::string solver;
-  double setup_millis = 0.0;
-  double solve_millis = 0.0;
-  int64_t dominance_tests = 0;
-  int64_t nodes_visited = 0;
-  int64_t nodes_pruned = 0;
-  int64_t index_probes = 0;
-  int64_t objects_pruned = 0;
-  int64_t bound_refinements = 0;
-  int64_t early_exit_depth = 0;
-  // Data-plane memory accounting (SolverStats field-for-field). Since v4.
-  int64_t index_bytes_resident = 0;
-  int64_t index_bytes_mapped = 0;
-  int64_t peak_rss_bytes = 0;
-  // Intra-query executor counters (SolverStats field-for-field). Since v5.
-  // tasks_stolen is scheduling-dependent; the other two are deterministic.
-  int64_t tasks_spawned = 0;
-  int64_t tasks_stolen = 0;
-  int64_t parallel_workers = 0;
-
-  static WireSolverStats From(const SolverStats& stats);
-  SolverStats ToSolverStats() const;
+/// Wire form of SolverStats: solver name, setup and solve times, then the
+/// work counters as a counted list of (u16 wire id, i64 value) pairs.
+/// Decode skips ids it does not know and leaves counters the peer did not
+/// send at 0, so a counter added to work_counters.h needs no new wire
+/// version.
+struct WireSolverStats : SolverStats {
+  SolverStats ToSolverStats() const { return *this; }
   void Encode(WireWriter& w) const;
+  /// Failures (truncation, a count larger than the remaining payload)
+  /// land in the reader's status.
   void Decode(WireReader& r);
 };
 

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -82,6 +83,50 @@ const char* GoalLabel(WireDerivedKind kind) {
   }
   return "full";
 }
+
+// The series a fresh (uncached) solve feeds, looked up once: the two
+// phase histograms and one series per work-counter row. Sum rows count
+// into arsp_solver_<name>_total; max rows gauge the latest solve's value
+// as arsp_solver_<name>.
+struct SolveSeries {
+  obs::Histogram* setup_ms = nullptr;
+  obs::Histogram* solve_ms = nullptr;
+  std::vector<obs::Counter*> totals;  // parallel to kWorkCounters
+  std::vector<obs::Gauge*> latest;    // parallel to kWorkCounters
+
+  SolveSeries() {
+    obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+    const char* const phase_help =
+        "Per-phase solver time of uncached queries (setup = context/index "
+        "work, solve = the solver proper).";
+    setup_ms = metrics.GetHistogram("arsp_query_phase_ms",
+                                    obs::Histogram::LatencyBucketsMs(),
+                                    {{"phase", "setup"}}, phase_help);
+    solve_ms = metrics.GetHistogram("arsp_query_phase_ms",
+                                    obs::Histogram::LatencyBucketsMs(),
+                                    {{"phase", "solve"}}, phase_help);
+    for (const WorkCounterInfo& c : kWorkCounters) {
+      const std::string series = std::string("arsp_solver_") + c.name;
+      const bool sum = c.rule == MergeRule::kSum;
+      totals.push_back(sum ? metrics.GetCounter(series + "_total", {}, c.help)
+                           : nullptr);
+      latest.push_back(sum ? nullptr : metrics.GetGauge(series, {}, c.help));
+    }
+  }
+
+  void Record(const SolverStats& stats) const {
+    setup_ms->Observe(stats.setup_millis);
+    solve_ms->Observe(stats.solve_millis);
+    for (size_t i = 0; i < std::size(kWorkCounters); ++i) {
+      const int64_t value = stats.*kWorkCounters[i].field;
+      if (totals[i] != nullptr) {
+        if (value > 0) totals[i]->Inc(static_cast<uint64_t>(value));
+      } else {
+        latest[i]->Set(value);
+      }
+    }
+  }
+};
 
 }  // namespace
 
@@ -838,44 +883,20 @@ StatusOr<QueryResponseWire> EngineBackend::Query(
                    {"outcome", "ok"}},
                   queries_help)
       ->Inc();
+  metrics
+      .GetHistogram("arsp_query_latency_ms", obs::Histogram::LatencyBucketsMs(),
+                    {}, "End-to-end Solve latency per query.")
+      ->Observe(elapsed_ms);
   if (response->cache_hit) {
     metrics
         .GetCounter("arsp_query_cache_hits_total", {},
                     "Queries answered from the result cache.")
         ->Inc();
-  }
-  metrics
-      .GetHistogram("arsp_query_latency_ms", obs::Histogram::LatencyBucketsMs(),
-                    {}, "End-to-end Solve latency per query.")
-      ->Observe(elapsed_ms);
-  metrics
-      .GetHistogram("arsp_query_phase_ms", obs::Histogram::LatencyBucketsMs(),
-                    {{"phase", "setup"}},
-                    "Per-phase solver time (setup = context/index work, "
-                    "solve = the solver proper).")
-      ->Observe(response->stats.setup_millis);
-  metrics
-      .GetHistogram("arsp_query_phase_ms", obs::Histogram::LatencyBucketsMs(),
-                    {{"phase", "solve"}},
-                    "Per-phase solver time (setup = context/index work, "
-                    "solve = the solver proper).")
-      ->Observe(response->stats.solve_millis);
-  if (response->stats.tasks_spawned > 0) {
-    metrics
-        .GetCounter("arsp_arena_tasks_total", {},
-                    "TaskArena tasks executed by parallel solves.")
-        ->Inc(static_cast<uint64_t>(response->stats.tasks_spawned));
-    metrics
-        .GetCounter("arsp_arena_tasks_stolen_total", {},
-                    "TaskArena tasks claimed by work-stealing.")
-        ->Inc(static_cast<uint64_t>(response->stats.tasks_stolen));
-  }
-  if (response->stats.index_bytes_mapped > 0) {
-    metrics
-        .GetGauge("arsp_index_bytes_mapped", {},
-                  "Bytes of mmap-backed index sections behind the most "
-                  "recent query.")
-        ->Set(response->stats.index_bytes_mapped);
+  } else {
+    // A hit carries the stats of the solve that filled the cache; only a
+    // fresh solve adds work.
+    static const SolveSeries series;
+    series.Record(response->stats);
   }
 
   QueryResponseWire wire;
@@ -886,7 +907,7 @@ StatusOr<QueryResponseWire> EngineBackend::Query(
   wire.goal = response->result->goal.ToString();
   wire.result_size = wire.complete ? CountNonZero(*response->result) : -1;
   wire.count_threshold = response->count_threshold;
-  wire.stats = WireSolverStats::From(response->stats);
+  wire.stats = WireSolverStats{response->stats};
   wire.ranked.reserve(response->ranked.size());
   // Instance-level rankings carry instance ids, which have no name; every
   // object-level kind carries *base* object ids that index the base's

@@ -299,6 +299,28 @@ TEST(ClusterServer, DeniedQueriesDoNotLeakPendingBudget) {
   server->Wait();
 }
 
+TEST(ClusterServer, CoordinatorKeepsShardMemoryCounters) {
+  // The memory rows merge by max: a coordinator reply reports the largest
+  // shard footprint and peak RSS, never a dropped 0.
+  std::vector<std::shared_ptr<net::ServiceBackend>> shards = {
+      std::make_shared<net::EngineBackend>(),
+      std::make_shared<net::EngineBackend>(),
+  };
+  Coordinator coordinator(shards, {"a", "b"}, CoordinatorOptions{});
+  net::LoadDatasetRequest load;
+  load.name = "iip";
+  load.source = net::LoadSource::kGenerator;
+  load.payload = kSpec;
+  ASSERT_TRUE(coordinator.Load(load).ok());
+  net::QueryRequestWire request = WireQuery("iip");
+  request.solver = "kdtt";
+  auto merged = coordinator.Query(request);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_GT(merged->stats.index_bytes_resident, 0);
+  EXPECT_GT(merged->stats.peak_rss_bytes, 0);
+  EXPECT_GT(merged->stats.dominance_tests, 0);
+}
+
 TEST(ClusterServer, ShutdownLatencyIsBoundedByThePollTick) {
   // The nonblocking-accept regression: Shutdown() + Wait() of an idle
   // server must complete within a few poll ticks (100ms each), never hang

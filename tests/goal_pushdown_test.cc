@@ -262,7 +262,7 @@ TEST(GoalPushdown, StatsStringCarriesPruningCounters) {
   const std::string line = stats.ToString();
   EXPECT_NE(line.find("objects_pruned="), std::string::npos);
   EXPECT_NE(line.find("bound_refinements="), std::string::npos);
-  EXPECT_NE(line.find("early_exit="), std::string::npos);
+  EXPECT_NE(line.find("early_exit_depth="), std::string::npos);
   EXPECT_GT(stats.objects_pruned, 0);
 }
 

@@ -27,6 +27,7 @@
 #include "src/core/queries.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
+#include "src/obs/metrics.h"
 #include "src/simd/kernels.h"
 #include "src/uncertain/generators.h"
 
@@ -257,6 +258,36 @@ TEST_F(NetLoopbackTest, RepeatQueryIsACacheHitAcrossConnections) {
   auto cross = second.Query(WireQuery("iip", "kdtt+"));
   ASSERT_TRUE(cross.ok());
   EXPECT_TRUE(cross->cache_hit);
+}
+
+TEST_F(NetLoopbackTest, CacheHitsAreNotCountedAsSolverWork) {
+  net::ArspClient client = Connect();
+  LoadIip(client, "iip");
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  obs::Counter* dominance_tests =
+      metrics.GetCounter("arsp_solver_dominance_tests_total");
+  const uint64_t tests_before = dominance_tests->Value();
+  auto miss = client.Query(WireQuery("iip", "kdtt+"));
+  ASSERT_TRUE(miss.ok());
+  ASSERT_FALSE(miss->cache_hit);
+  EXPECT_EQ(dominance_tests->Value(),
+            tests_before + static_cast<uint64_t>(miss->stats.dominance_tests));
+  EXPECT_GT(miss->stats.dominance_tests, 0);
+
+  obs::Counter* hits = metrics.GetCounter("arsp_query_cache_hits_total");
+  obs::Histogram* solve_phase =
+      metrics.GetHistogram("arsp_query_phase_ms",
+                           obs::Histogram::LatencyBucketsMs(),
+                           {{"phase", "solve"}});
+  const uint64_t hits_before = hits->Value();
+  const uint64_t phase_before = solve_phase->Count();
+  const uint64_t tests_after_miss = dominance_tests->Value();
+  auto hit = client.Query(WireQuery("iip", "kdtt+"));
+  ASSERT_TRUE(hit.ok());
+  ASSERT_TRUE(hit->cache_hit);
+  EXPECT_EQ(hits->Value(), hits_before + 1);
+  EXPECT_EQ(solve_phase->Count(), phase_before);
+  EXPECT_EQ(dominance_tests->Value(), tests_after_miss);
 }
 
 TEST_F(NetLoopbackTest, DatasetIndexedOnceAcrossConcurrentConnections) {

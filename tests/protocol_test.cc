@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -198,6 +199,123 @@ TEST(ProtocolMessagesTest, QueryResponseRoundTripWithInstanceVector) {
   EXPECT_EQ(decoded.ranked[0].prob, 0.91);
   EXPECT_EQ(decoded.stats.dominance_tests, 1234);
   EXPECT_EQ(decoded.instance_probs, response.instance_probs);
+}
+
+// ------------------------------------------- work counters: the id list
+
+// A stats header (solver, setup and solve times), then a counter count, as
+// a peer writes it; callers append the (id, value) entries.
+WireWriter StatsHeader(uint32_t counter_count) {
+  WireWriter w;
+  w.Str("kdtt+");
+  w.F64(0.5);
+  w.F64(2.5);
+  w.U32(counter_count);
+  return w;
+}
+
+TEST(WireSolverStatsTest, EveryCounterRoundTripsWithADistinctValue) {
+  WireSolverStats stats;
+  stats.solver = "qdtt+";
+  stats.setup_millis = 0.25;
+  stats.solve_millis = 4.5;
+  int64_t value = 1000;
+  std::set<uint16_t> ids;
+  for (const WorkCounterInfo& c : kWorkCounters) {
+    stats.*c.field = value++;
+    EXPECT_TRUE(ids.insert(c.wire_id).second) << "duplicate id " << c.name;
+  }
+  WireWriter w;
+  stats.Encode(w);
+  WireReader r(w.bytes());
+  WireSolverStats decoded;
+  decoded.Decode(r);
+  ASSERT_TRUE(r.Finish().ok()) << r.Finish().ToString();
+  EXPECT_EQ(decoded.solver, "qdtt+");
+  EXPECT_EQ(decoded.setup_millis, 0.25);
+  EXPECT_EQ(decoded.solve_millis, 4.5);
+  for (const WorkCounterInfo& c : kWorkCounters) {
+    EXPECT_EQ(decoded.*c.field, stats.*c.field) << c.name;
+  }
+}
+
+TEST(WireSolverStatsTest, UnknownIdIsSkipped) {
+  // Ids 1 and 2 are dominance_tests and nodes_visited for good; 0xFFFF
+  // stands for a counter a newer peer knows and this build does not.
+  WireWriter w = StatsHeader(3);
+  w.U16(1);
+  w.I64(7);
+  w.U16(0xFFFF);
+  w.I64(99);
+  w.U16(2);
+  w.I64(8);
+  WireReader r(w.bytes());
+  WireSolverStats decoded;
+  decoded.Decode(r);
+  ASSERT_TRUE(r.Finish().ok()) << r.Finish().ToString();
+  EXPECT_EQ(decoded.dominance_tests, 7);
+  EXPECT_EQ(decoded.nodes_visited, 8);
+  EXPECT_EQ(decoded.nodes_pruned, 0);
+}
+
+TEST(WireSolverStatsTest, CountBeyondThePayloadIsRejectedBeforeTheLoop) {
+  WireWriter w = StatsHeader(0x7fffffffu);
+  w.U16(1);
+  w.I64(7);
+  WireReader r(w.bytes());
+  WireSolverStats decoded;
+  decoded.Decode(r);
+  ASSERT_FALSE(r.status().ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("work counter count"),
+            std::string::npos)
+      << r.status().ToString();
+  EXPECT_EQ(decoded.dominance_tests, 0);
+}
+
+TEST(WireSolverStatsTest, EveryTruncatedPrefixFails) {
+  WireSolverStats stats;
+  stats.solver = "bnb";
+  stats.dominance_tests = 5;
+  stats.early_exit_depth = 2;
+  stats.peak_rss_bytes = 1 << 20;
+  WireWriter w;
+  stats.Encode(w);
+  const std::string& bytes = w.bytes();
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    const std::string prefix = bytes.substr(0, cut);
+    WireReader r(prefix);
+    WireSolverStats decoded;
+    decoded.Decode(r);
+    EXPECT_EQ(r.Finish().code(), StatusCode::kInvalidArgument)
+        << "prefix of " << cut << " bytes";
+  }
+}
+
+TEST(WireSolverStatsTest, ShardMergeSumsSumRowsAndMaxesMaxRows) {
+  SolverStats first;
+  SolverStats second;
+  first.solver = "kdtt";
+  first.solve_millis = 1.0;
+  second.solver = "kdtt";
+  second.solve_millis = 2.0;
+  for (const WorkCounterInfo& c : kWorkCounters) {
+    first.*c.field = 10;
+    second.*c.field = 4;
+  }
+  SolverStats total;
+  total.MergeShard(first);
+  total.MergeShard(second);
+  EXPECT_EQ(total.solver, "kdtt");
+  EXPECT_EQ(total.solve_millis, 3.0);
+  for (const WorkCounterInfo& c : kWorkCounters) {
+    EXPECT_EQ(total.*c.field, c.rule == MergeRule::kSum ? 14 : 10) << c.name;
+  }
+  // The memory rows and the goal-stop depth are the max rows.
+  EXPECT_EQ(total.index_bytes_resident, 10);
+  EXPECT_EQ(total.peak_rss_bytes, 10);
+  EXPECT_EQ(total.early_exit_depth, 10);
+  EXPECT_EQ(total.dominance_tests, 14);
 }
 
 TEST(ProtocolMessagesTest, StatsRoundTrip) {

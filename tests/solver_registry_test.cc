@@ -104,6 +104,23 @@ TEST(Capabilities, GeneralSolversAcceptWeightRatioContexts) {
   }
 }
 
+TEST(Capabilities, EverySolverReportsWork) {
+  // 2-d single-instance objects under a weight-ratio range: an input every
+  // registered solver accepts, dual-2d-ms included. Each must count some
+  // of the work it did (the per-algorithm work comparison of §V).
+  const UncertainDataset dataset = RandomDataset(12, 1, 2, 0.5, 5);
+  ExecutionContext context(dataset, RandomWr(2, 5));
+  for (const std::string& name : SolverRegistry::Names()) {
+    auto solver = SolverRegistry::Create(name);
+    ASSERT_TRUE(solver.ok()) << name;
+    auto result = (*solver)->Solve(context);
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    int64_t work = 0;
+    for (const WorkCounterInfo& c : kWorkCounters) work += (*result).*c.field;
+    EXPECT_GT(work, 0) << name << " reports no work";
+  }
+}
+
 // ------------------------------------------------------------------- options
 
 TEST(Options, UnknownKeyIsRejected) {

@@ -11,18 +11,13 @@
 //   arsp_loadgen --connect host:port --name NAME --constraints wr:...
 //                [--load gen:SPEC] [--connections N] [--duration S]
 //                [--topk K] [--threshold P] [--target-qps F] [--cache]
-//                [--threads-per-query N] [--json PATH]
+//                [--threads-per-query N]
 //
 // Prints one summary line per run:
 //   loadgen: <req> ok, <n> retry-later, <n> errors in <s>s  |  <qps> QPS,
 //   p50/p95/p99/p99.9 = a/b/c/d ms
 // and exits 0 iff no hard errors occurred (RETRY_LATER is not an error —
 // counting it is the point).
-//
-// --json PATH writes the run in the same arsp-bench-v1 shape bench --json
-// exports (header object, then one entry per metric with ns_per_op +
-// counters), so tools/bench_diff can gate load-test latency regressions
-// exactly like microbenchmark ones.
 //
 // RETRY_LATER handling: the worker honors the server's backoff hint (sleeps
 // retry-after, bounded) and keeps going, so a run against an
@@ -32,9 +27,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -44,7 +37,6 @@
 #include "src/common/percentile.h"
 #include "src/net/client.h"
 #include "src/net/protocol.h"
-#include "src/simd/kernels.h"
 #include "tools/cli_args.h"
 
 namespace {
@@ -71,7 +63,6 @@ struct LoadgenConfig {
   /// intra-query speedup is measurable under service load. 0 = off (every
   /// request leaves parallelism to the daemon's policy).
   int threads_per_query = 0;
-  std::string json_out;  ///< --json PATH: arsp-bench-v1 export (empty = off)
 };
 
 struct WorkerResult {
@@ -94,16 +85,14 @@ void PrintUsage() {
       "                    [--load gen:SPEC] [--connections N]\n"
       "                    [--duration S] [--topk K] [--threshold P]\n"
       "                    [--target-qps F] [--solver NAME] [--cache]\n"
-      "                    [--threads-per-query N] [--json PATH]\n"
+      "                    [--threads-per-query N]\n"
       "--load registers NAME from a generator spec before the run\n"
       "(e.g. --load gen:iip:n=500,seed=1). --target-qps paces an open\n"
       "loop across all connections; default is closed-loop. --cache\n"
       "allows result-cache hits (off by default: loadgen measures solve\n"
       "throughput, and identical queries would otherwise all hit).\n"
       "--threads-per-query N (>= 2) alternates serial and N-worker\n"
-      "requests per connection and reports a per-mode p50/p95 split.\n"
-      "--json PATH exports the run in the arsp-bench-v1 shape for\n"
-      "tools/bench_diff.\n");
+      "requests per connection and reports a per-mode p50/p95 split.\n");
 }
 
 net::QueryRequestWire MakeQuery(const LoadgenConfig& config) {
@@ -179,113 +168,6 @@ void RunWorker(const LoadgenConfig& config, Clock::time_point deadline,
       if (!client->connected()) break;
     }
   }
-}
-
-// %.17g round-trips doubles exactly — the same rendering bench_util's
-// export uses, so bench_diff parses both identically.
-std::string JsonNumber(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-double MeanMs(const std::vector<double>& samples) {
-  if (samples.empty()) return 0.0;
-  double sum = 0.0;
-  for (double s : samples) sum += s;
-  return sum / static_cast<double>(samples.size());
-}
-
-// bench_diff refuses exports without the shared BM_Calibrate_Xorshift64
-// entry it normalizes by. Time the identical serially dependent xorshift64
-// chain the bench_* binaries register (the compiler cannot vectorize or
-// reassociate it, so ns/op tracks scalar core speed), min over the outer
-// reps like bench_util's "_ns" collapse.
-double CalibrateXorshiftNs() {
-  uint64_t x = 88172645463325252ull;
-  double best = 0;
-  for (int rep = 0; rep < 200; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < (1 << 16); ++i) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-    }
-    const double ns = std::chrono::duration<double, std::nano>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    if (rep == 0 || ns < best) best = ns;
-  }
-  volatile uint64_t sink = x;  // keep the chain observable
-  (void)sink;
-  return best;
-}
-
-// --json: the run as an arsp-bench-v1 export. One "loadgen/query" entry
-// whose ns_per_op is the mean ok-request latency (the statistic bench_diff
-// gates on), with throughput and the tail percentiles as counters; under
-// --threads-per-query the per-mode splits become their own entries. A
-// load-test latency regression then fails CI through the exact pipeline a
-// kernel regression does.
-bool WriteBenchJson(const LoadgenConfig& config, WorkerResult* total,
-                    double elapsed_s, double qps,
-                    const std::vector<double>& p) {
-  std::ofstream out(config.json_out);
-  if (!out) {
-    std::fprintf(stderr, "loadgen: cannot write --json file %s\n",
-                 config.json_out.c_str());
-    return false;
-  }
-  const char* rev = std::getenv("ARSP_GIT_REV");
-  out << "{\"schema\":\"arsp-bench-v1\",\"arch\":\"" << simd::ActiveArchName()
-      << "\",\"scale\":1,\"git_rev\":\"" << (rev != nullptr ? rev : "unknown")
-      << "\"}\n";
-  auto entry = [&out](const std::string& name, double mean_ms,
-                      int64_t iterations,
-                      const std::vector<std::pair<std::string, double>>&
-                          counters) {
-    out << "{\"name\":\"" << name
-        << "\",\"ns_per_op\":" << JsonNumber(mean_ms * 1e6)
-        << ",\"iterations\":" << iterations << ",\"counters\":{";
-    bool first = true;
-    for (const auto& [key, value] : counters) {
-      if (!first) out << ",";
-      first = false;
-      out << "\"" << key << "\":" << JsonNumber(value);
-    }
-    out << "}}\n";
-  };
-  entry("BM_Calibrate_Xorshift64", CalibrateXorshiftNs() * 1e-6, 200, {});
-  entry("loadgen/query", MeanMs(total->latencies_ms), total->ok,
-        {{"qps", qps},
-         {"p50_ms", p[0]},
-         {"p95_ms", p[1]},
-         {"p99_ms", p[2]},
-         {"p999_ms", p[3]},
-         {"retry_later", static_cast<double>(total->retry_later)},
-         {"errors", static_cast<double>(total->errors)},
-         {"connections", static_cast<double>(config.connections)},
-         {"duration_s", elapsed_s}});
-  if (config.threads_per_query >= 2) {
-    const std::vector<double> qs = {0.50, 0.95, 0.99, 0.999};
-    const std::vector<double> ps = Percentiles(&total->serial_ms, qs);
-    const std::vector<double> pp = Percentiles(&total->parallel_ms, qs);
-    entry("loadgen/serial", MeanMs(total->serial_ms),
-          static_cast<int64_t>(total->serial_ms.size()),
-          {{"p50_ms", ps[0]},
-           {"p95_ms", ps[1]},
-           {"p99_ms", ps[2]},
-           {"p999_ms", ps[3]}});
-    entry("loadgen/parallel", MeanMs(total->parallel_ms),
-          static_cast<int64_t>(total->parallel_ms.size()),
-          {{"p50_ms", pp[0]},
-           {"p95_ms", pp[1]},
-           {"p99_ms", pp[2]},
-           {"p999_ms", pp[3]},
-           {"threads_per_query",
-            static_cast<double>(config.threads_per_query)}});
-  }
-  return true;
 }
 
 }  // namespace
@@ -368,8 +250,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--threads-per-query needs an integer >= 2\n");
         return PrintUsage(), 2;
       }
-    } else if (flag == "--json") {
-      config.json_out = v;
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", flag.c_str());
       return PrintUsage(), 2;
@@ -468,10 +348,6 @@ int main(int argc, char** argv) {
         "p50/p95 = %.2f/%.2f ms (%zu/%zu samples)\n",
         ps[0], ps[1], config.threads_per_query, pp[0], pp[1],
         total.serial_ms.size(), total.parallel_ms.size());
-  }
-  if (!config.json_out.empty()) {
-    if (!WriteBenchJson(config, &total, elapsed_s, qps, p)) return 1;
-    std::printf("loadgen: wrote %s\n", config.json_out.c_str());
   }
   if (total.errors > 0) {
     std::fprintf(stderr, "loadgen: first error: %s\n",
