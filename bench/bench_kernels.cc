@@ -195,18 +195,37 @@ void BM_Kernel_AnyRowDominates(benchmark::State& state) {
 }
 BENCHMARK(BM_Kernel_AnyRowDominates);
 
-void BM_Kernel_ClassifyCorners(benchmark::State& state) {
-  const AlignedVector<double> pmin(kStreamDim, 0.3);
-  const AlignedVector<double> pmax(kStreamDim, 0.7);
-  std::vector<unsigned char> classes(kStreamRows);
+// The traversal's candidate filter at the NBA access pattern: 4,096
+// candidate ids in random order, gathered from a 24.5K-row d' = 4 stream
+// (the row count of one Fig. 6 NBA solve), so rows come from L2 rather than
+// a dense sweep. The corners split the rows about as an NBA node does:
+// ~23% enter D (0.69^4), ~51% are kept, ~26% are discarded, which no branch
+// predictor can follow.
+constexpr int kPartitionRows = 24576;
+constexpr int kPartitionIds = 4096;
+
+void BM_Kernel_PartitionCorners(benchmark::State& state) {
+  const AlignedVector<double> coords =
+      RandomStream(kPartitionRows * kStreamDim, 53);
+  std::vector<int> ids(kPartitionRows);
+  for (int i = 0; i < kPartitionRows; ++i) ids[static_cast<size_t>(i)] = i;
+  Rng rng(59);
+  std::shuffle(ids.begin(), ids.end(), rng.engine());
+  ids.resize(kPartitionIds);
+  const AlignedVector<double> pmin(kStreamDim, 0.69);
+  const AlignedVector<double> pmax(kStreamDim, 0.93);
+  std::vector<int> dominators(kPartitionIds);
+  std::vector<int> kept(kPartitionIds);
   for (auto _ : state) {
-    simd::Ops().ClassifyCorners(Coords().data(), kStreamDim, Ids().data(),
-                                kStreamRows, pmin.data(), pmax.data(),
-                                classes.data());
-    benchmark::DoNotOptimize(classes.data());
+    const simd::PartitionCounts counts = simd::Ops().PartitionCorners(
+        coords.data(), kStreamDim, ids.data(), kPartitionIds, pmin.data(),
+        pmax.data(), dominators.data(), kept.data());
+    benchmark::DoNotOptimize(counts);
+    benchmark::DoNotOptimize(dominators.data());
+    benchmark::DoNotOptimize(kept.data());
   }
 }
-BENCHMARK(BM_Kernel_ClassifyCorners);
+BENCHMARK(BM_Kernel_PartitionCorners);
 
 void BM_Kernel_ScoreCorners(benchmark::State& state) {
   for (auto _ : state) {

@@ -6,10 +6,10 @@
 // with O(1) incremental apply/undo as candidates move into the dominating
 // set D of a node.
 //
-// Deviation from the printed pseudocode (documented in DESIGN.md): at a
-// leaf, the case χ = 1 caused by the instance's *own* object still has
-// non-zero probability — the paper handles this case in its DUAL-M variant
-// (§IV-B) and we apply the same rule here.
+// Deviation from the printed pseudocode (ARCHITECTURE.md, "Deviations and
+// substitutions"): at a leaf, the case χ = 1 caused by the instance's *own*
+// object still has non-zero probability — the paper handles this case in
+// its DUAL-M variant (§IV-B) and we apply the same rule here.
 //
 // Parallel execution: a traversal runs on one or more TraversalLane's —
 // each lane owns a private AspTraversalState, scratch buffers, counters
@@ -22,6 +22,7 @@
 #define ARSP_CORE_ASP_TRAVERSAL_STATE_H_
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -279,9 +280,13 @@ class GoalChannel {
   bool snapshot_any_ = false;
 };
 
+/// Candidates FilterAspCandidates hands to one PartitionCorners call: the
+/// size of the lane's fixed block buffers.
+inline constexpr int kFilterBlock = 1024;
+
 /// Everything one worker needs to traverse a subtree: private (σ, β, χ)
-/// state with its undo stack, the candidate stack, corner slots,
-/// classification scratch, counters and its goal channel. Lane 0 is the
+/// state with its undo stack, the candidate stack, corner slots, the
+/// filter's block buffers, counters and its goal channel. Lane 0 is the
 /// calling thread's (and the only lane in serial mode); helper workers get
 /// lanes 1..W-1. A lane runs one task at a time and every node visit pops
 /// what it pushed, so all buffers are empty between tasks and grow only
@@ -296,7 +301,10 @@ struct TraversalLane {
   /// Candidate lists of the open nodes, each a slice [begin, end) of one
   /// stack: a node's kept list is pushed on top of its parent's.
   std::vector<int> candidates;
-  std::vector<unsigned char> class_scratch;
+  /// PartitionCorners outputs of one filter block, consumed before the
+  /// next block (so one pair serves every level).
+  std::array<int, kFilterBlock> block_dominators;
+  std::array<int, kFilterBlock> block_kept;
   WorkCounters counters;  // merged over lanes by WorkCounters::MergeFrom
   GoalChannel channel;
   bool stopped = false;  // this lane saw the global goal-met early exit
@@ -373,50 +381,41 @@ struct CandidateSlice {
 
 /// Filters the parent's candidates against a node's corners: candidates
 /// that dominate pmin move into D (σ, in the lane's open scope); those that
-/// dominate pmax are kept, appended to `kept` (the lane's candidate stack,
-/// or a spawning node's own list); everything else is discarded for this
-/// subtree. The two dominance tests per candidate run batched through the
-/// ClassifyCorners kernel into the lane's class scratch (fully consumed
-/// before any recursion, so one scratch serves every level); `kept` is
-/// then reserved for the kept count — so a parent slice on the same stack
-/// cannot move while the kept list grows — and the scalar loop applies the
-/// σ/kept side effects in candidate order. Counts one dominance test per
-/// candidate, as the scalar loop always has. When `adds_out` is non-null,
-/// every (object, prob) fed to Add is also appended there — the walker
-/// records these per-node deltas into a PathChain so spawned tasks can
-/// replay the root→node σ path with the exact same Add sequence (hence
-/// bitwise-equal state).
+/// dominate pmax are kept, pushed on the lane's candidate stack; everything
+/// else is discarded for this subtree. The candidates run through the
+/// PartitionCorners kernel in blocks of kFilterBlock, each partitioned into
+/// the lane's block buffers and applied before the next block: the block's
+/// kept ids are appended, then its dominators are Added. Both lists come
+/// out in candidate order, so the stack and the Add sequence — hence σ, β
+/// and χ, bitwise — are those of a per-candidate loop. The parent slice is
+/// re-read per block, since an append may move the stack it lies on. Counts
+/// one dominance test per candidate. When `adds_out` is non-null, every
+/// (object, prob) fed to Add is also appended there — the walker records
+/// these per-node deltas into a PathChain so spawned tasks can replay the
+/// root→node σ path with the exact same Add sequence (hence bitwise-equal
+/// state).
 inline void FilterAspCandidates(const ScoreSpan& scores,
                                 const CandidateSlice& parent,
                                 const double* pmin, const double* pmax,
-                                TraversalLane* lane, std::vector<int>* kept,
+                                TraversalLane* lane,
                                 std::vector<std::pair<int, double>>*
                                     adds_out = nullptr) {
   const int count = parent.size();
-  if (count == 0) return;
-  if (lane->class_scratch.size() < static_cast<size_t>(count)) {
-    lane->class_scratch.resize(static_cast<size_t>(count));
-  }
-  unsigned char* classes = lane->class_scratch.data();
-  simd::Ops().ClassifyCorners(scores.coords, scores.dim, parent.data(), count,
-                              pmin, pmax, classes);
   lane->counters.dominance_tests += count;
-  const size_t needed =
-      kept->size() + static_cast<size_t>(std::count(
-                         classes, classes + count, simd::kClassDominatesMax));
-  if (needed > kept->capacity()) {
-    kept->reserve(std::max(needed, 2 * kept->capacity()));
-  }
-  const int* ids = parent.data();  // after the reserve: it may move `kept`
-  for (int c = 0; c < count; ++c) {
-    const int cid = ids[c];
-    if (classes[c] == simd::kClassDominatesMin) {
+  std::vector<int>& kept = lane->candidates;
+  for (int begin = 0; begin < count; begin += kFilterBlock) {
+    const simd::PartitionCounts block = simd::Ops().PartitionCorners(
+        scores.coords, scores.dim, parent.data() + begin,
+        std::min(kFilterBlock, count - begin), pmin, pmax,
+        lane->block_dominators.data(), lane->block_kept.data());
+    kept.insert(kept.end(), lane->block_kept.data(),
+                lane->block_kept.data() + block.kept);
+    for (int i = 0; i < block.dominators; ++i) {
+      const int cid = lane->block_dominators[static_cast<size_t>(i)];
       const int object = scores.object(cid);
       const double prob = scores.prob(cid);
       lane->state.Add(object, prob);
       if (adds_out != nullptr) adds_out->emplace_back(object, prob);
-    } else if (classes[c] == simd::kClassDominatesMax) {
-      kept->push_back(cid);
     }
   }
 }
@@ -426,7 +425,8 @@ inline void FilterAspCandidates(const ScoreSpan& scores,
 /// pruned):
 ///   χ ≥ 2        — two foreign full dominators: everything is zero;
 ///   χ = 1        — only instances coinciding with pmin (where σ is exact)
-///                  can survive (see DESIGN.md);
+///                  can survive (ARCHITECTURE.md, "Deviations and
+///                  substitutions");
 ///   pmin == pmax — true leaf; σ is exact for every (coincident) instance.
 /// A terminal determines the exact probability of *every* instance in the
 /// range (zeros included), so it is also the goal-pushdown resolution

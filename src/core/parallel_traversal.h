@@ -31,6 +31,7 @@
 #ifndef ARSP_CORE_PARALLEL_TRAVERSAL_H_
 #define ARSP_CORE_PARALLEL_TRAVERSAL_H_
 
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -259,21 +260,21 @@ class AspWalker {
                                        lane.CornerSlot(depth, scores_.dim));
     const bool spawns =
         executor_ != nullptr && rows.end - rows.begin >= spawn_min_rows_;
-    // A spawning node filters into its own list, which its child tasks
-    // share; every other node pushes its kept list on the lane's stack.
-    std::shared_ptr<std::vector<int>> own_kept;
-    if (spawns) own_kept = std::make_shared<std::vector<int>>();
     std::vector<std::pair<int, double>> adds;  // filled only if `spawns`
     const AspTraversalState::Mark mark = lane.state.OpenScope();
     const size_t kept_begin = lane.candidates.size();
     FilterAspCandidates(scores_, parent, box.pmin, box.pmax, &lane,
-                        spawns ? own_kept.get() : &lane.candidates,
                         spawns ? &adds : nullptr);
 
     if (!HandleAspTerminal(scores_, order_, rows.begin, rows.end, box.pmin,
                            box.pmax, lane.state, probs_, &lane.counters,
                            &lane.channel)) {
       if (spawns) {
+        // The child tasks share one exact copy of the kept list, which
+        // outlives this visit; the lane's stack slice is popped below.
+        auto own_kept = std::make_shared<const std::vector<int>>(
+            lane.candidates.begin() + static_cast<std::ptrdiff_t>(kept_begin),
+            lane.candidates.end());
         auto node_chain =
             std::make_shared<const PathChain>(chain, std::move(adds));
         split_.ForEachChild(node, box, scores_, &order_,

@@ -55,12 +55,11 @@ enum class KernelArch {
 /// ARSP_KERNEL accepts, and what --stats / the daemon report.
 const char* KernelArchName(KernelArch arch);
 
-/// Candidate classification against a node's corners (FilterAspCandidates):
-/// row ⪯ pmin → kDominatesMin (enters the dominating set D), else
-/// row ⪯ pmax → kDominatesMax (stays a candidate), else kDiscard.
-inline constexpr unsigned char kClassDiscard = 0;
-inline constexpr unsigned char kClassDominatesMax = 1;
-inline constexpr unsigned char kClassDominatesMin = 2;
+/// Output cursors of PartitionCorners: how many ids it wrote to each list.
+struct PartitionCounts {
+  int dominators;
+  int kept;
+};
 
 /// One batched kernel per hot loop. All row pointers address row-major
 /// storage with `dim` contiguous doubles per row; `ids` arguments gather
@@ -69,11 +68,20 @@ inline constexpr unsigned char kClassDominatesMin = 2;
 struct KernelOps {
   KernelArch arch;
 
-  /// out[c] ∈ {kClassDiscard, kClassDominatesMax, kClassDominatesMin} for
-  /// row ids[c] of `coords` against corners pmin/pmax (each `dim` doubles).
-  void (*ClassifyCorners)(const double* coords, int dim, const int* ids,
-                          int count, const double* pmin, const double* pmax,
-                          unsigned char* out);
+  /// Candidate filter of one traversal node (FilterAspCandidates): splits
+  /// ids[0..count) by the row each gathers from `coords`, against corners
+  /// pmin/pmax (each `dim` doubles). Ids whose row ⪯ pmin (they enter the
+  /// dominating set D) go to dominators[0..counts.dominators); ids whose
+  /// row ⪯ pmax but not ⪯ pmin (they stay candidates) go to
+  /// kept[0..counts.kept); the rest are dropped. Both lists keep candidate
+  /// order. Branch-free: every id is stored at both cursors and each
+  /// cursor advances by its comparison result, so both outputs need room
+  /// for `count` ids; entries from a list's count up to `count` are
+  /// scratch, and nothing at or past index `count` is written.
+  PartitionCounts (*PartitionCorners)(const double* coords, int dim,
+                                      const int* ids, int count,
+                                      const double* pmin, const double* pmax,
+                                      int* dominators, int* kept);
 
   /// Tightens pmin/pmax (already initialized) over rows ids[0..count):
   /// strict-inequality replacement, so ties keep the incumbent value.

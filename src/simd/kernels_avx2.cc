@@ -81,17 +81,65 @@ ARSP_AVX2 inline bool ViolatesAgainst(const double* row, const double* a,
   return viol;
 }
 
-ARSP_AVX2 void ClassifyCornersAvx2(const double* coords, int dim,
-                                   const int* ids, int count,
-                                   const double* pmin, const double* pmax,
-                                   unsigned char* out) {
+// Stores `id` at both output cursors and advances each by its comparison
+// result — the branch-free step of PartitionCorners. gt_min/gt_max are
+// nonzero iff the row exceeds that corner in some coordinate.
+inline void PartitionStep(int id, int gt_min, int gt_max, int* dominators,
+                          int* kept, PartitionCounts* counts) {
+  dominators[counts->dominators] = id;
+  kept[counts->kept] = id;
+  counts->dominators += static_cast<int>(gt_min == 0);
+  counts->kept += static_cast<int>((gt_max == 0) & (gt_min != 0));
+}
+
+// PartitionCorners for dim <= 4: the corners stay in registers for the
+// whole call and each candidate costs one row load. Rows narrower than 4
+// (kFullRow false) use a masked load — it never touches memory past the
+// row — whose zeroed lanes compare 0 > 0, i.e. never violate, against the
+// equally zeroed corner lanes.
+template <bool kFullRow>
+ARSP_AVX2 inline PartitionCounts PartitionNarrowAvx2(
+    const double* coords, int dim, const int* ids, int count,
+    const double* pmin, const double* pmax, int* dominators, int* kept) {
+  const __m256i lanes = _mm256_cmpgt_epi64(_mm256_set1_epi64x(dim),
+                                           _mm256_setr_epi64x(0, 1, 2, 3));
+  const __m256d mn = _mm256_maskload_pd(pmin, lanes);
+  const __m256d mx = _mm256_maskload_pd(pmax, lanes);
+  PartitionCounts counts{0, 0};
   for (int c = 0; c < count; ++c) {
-    const double* row = Row(coords, dim, ids[c]);
-    bool gt_min, gt_max;
-    ViolationsAgainstTwo(row, pmin, pmax, dim, &gt_min, &gt_max);
-    out[c] = !gt_min ? kClassDominatesMin
-                     : (!gt_max ? kClassDominatesMax : kClassDiscard);
+    const int id = ids[c];
+    const double* row = Row(coords, dim, id);
+    const __m256d r = kFullRow ? _mm256_loadu_pd(row)
+                               : _mm256_maskload_pd(row, lanes);
+    PartitionStep(id, _mm256_movemask_pd(_mm256_cmp_pd(r, mn, _CMP_GT_OQ)),
+                  _mm256_movemask_pd(_mm256_cmp_pd(r, mx, _CMP_GT_OQ)),
+                  dominators, kept, &counts);
   }
+  return counts;
+}
+
+ARSP_AVX2 PartitionCounts PartitionCornersAvx2(const double* coords, int dim,
+                                               const int* ids, int count,
+                                               const double* pmin,
+                                               const double* pmax,
+                                               int* dominators, int* kept) {
+  if (dim == 4) {
+    return PartitionNarrowAvx2<true>(coords, dim, ids, count, pmin, pmax,
+                                     dominators, kept);
+  }
+  if (dim < 4) {
+    return PartitionNarrowAvx2<false>(coords, dim, ids, count, pmin, pmax,
+                                      dominators, kept);
+  }
+  PartitionCounts counts{0, 0};
+  for (int c = 0; c < count; ++c) {
+    const int id = ids[c];
+    bool gt_min, gt_max;
+    ViolationsAgainstTwo(Row(coords, dim, id), pmin, pmax, dim, &gt_min,
+                         &gt_max);
+    PartitionStep(id, gt_min, gt_max, dominators, kept, &counts);
+  }
+  return counts;
 }
 
 ARSP_AVX2 void ScoreCornersAvx2(const double* coords, int dim, const int* ids,
@@ -230,9 +278,9 @@ ARSP_AVX2 void BoundSweepMaskAvx2(const double* lower, const double* pending,
 }
 
 const KernelOps kAvx2Ops = {
-    KernelArch::kAvx2,    ClassifyCornersAvx2, ScoreCornersAvx2,
-    DominatedMaskAvx2,    DominanceCountAvx2,  AnyRowDominatesAvx2,
-    MapPointAvx2,         SumProbsAvx2,        BoundSweepMaskAvx2,
+    KernelArch::kAvx2,    PartitionCornersAvx2, ScoreCornersAvx2,
+    DominatedMaskAvx2,    DominanceCountAvx2,   AnyRowDominatesAvx2,
+    MapPointAvx2,         SumProbsAvx2,         BoundSweepMaskAvx2,
 };
 
 }  // namespace

@@ -35,11 +35,15 @@ inline bool ViolatesAgainst(const double* row, const double* a, int dim) {
   return any;
 }
 
-void ClassifyCornersNeon(const double* coords, int dim, const int* ids,
-                         int count, const double* pmin, const double* pmax,
-                         unsigned char* out) {
+PartitionCounts PartitionCornersNeon(const double* coords, int dim,
+                                     const int* ids, int count,
+                                     const double* pmin, const double* pmax,
+                                     int* dominators, int* kept) {
+  int num_dominators = 0;
+  int num_kept = 0;
   for (int c = 0; c < count; ++c) {
-    const double* row = Row(coords, dim, ids[c]);
+    const int id = ids[c];
+    const double* row = Row(coords, dim, id);
     uint64x2_t viol_min = vdupq_n_u64(0);
     uint64x2_t viol_max = vdupq_n_u64(0);
     int k = 0;
@@ -56,9 +60,13 @@ void ClassifyCornersNeon(const double* coords, int dim, const int* ids,
       gt_min |= row[k] > pmin[k];
       gt_max |= row[k] > pmax[k];
     }
-    out[c] = !gt_min ? kClassDominatesMin
-                     : (!gt_max ? kClassDominatesMax : kClassDiscard);
+    // Branch-free cursor writes, as in the scalar reference.
+    dominators[num_dominators] = id;
+    kept[num_kept] = id;
+    num_dominators += static_cast<int>(!gt_min);
+    num_kept += static_cast<int>(!gt_max & gt_min);
   }
+  return PartitionCounts{num_dominators, num_kept};
 }
 
 void ScoreCornersNeon(const double* coords, int dim, const int* ids,
@@ -168,9 +176,9 @@ void BoundSweepMaskNeon(const double* lower, const double* pending,
 }
 
 const KernelOps kNeonOps = {
-    KernelArch::kNeon,    ClassifyCornersNeon, ScoreCornersNeon,
-    DominatedMaskNeon,    DominanceCountNeon,  AnyRowDominatesNeon,
-    MapPointNeon,         SumProbsNeon,        BoundSweepMaskNeon,
+    KernelArch::kNeon,    PartitionCornersNeon, ScoreCornersNeon,
+    DominatedMaskNeon,    DominanceCountNeon,   AnyRowDominatesNeon,
+    MapPointNeon,         SumProbsNeon,         BoundSweepMaskNeon,
 };
 
 }  // namespace

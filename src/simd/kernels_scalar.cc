@@ -17,20 +17,27 @@ inline const double* Row(const double* coords, int dim, int id) {
   return coords + static_cast<size_t>(id) * static_cast<size_t>(dim);
 }
 
-void ClassifyCornersScalar(const double* coords, int dim, const int* ids,
-                           int count, const double* pmin, const double* pmax,
-                           unsigned char* out) {
+PartitionCounts PartitionCornersScalar(const double* coords, int dim,
+                                       const int* ids, int count,
+                                       const double* pmin, const double* pmax,
+                                       int* dominators, int* kept) {
+  int num_dominators = 0;
+  int num_kept = 0;
   for (int c = 0; c < count; ++c) {
-    const double* row = Row(coords, dim, ids[c]);
+    const int id = ids[c];
+    const double* row = Row(coords, dim, id);
     bool le_min = true;
     bool le_max = true;
     for (int k = 0; k < dim; ++k) {
       le_min &= !(row[k] > pmin[k]);
       le_max &= !(row[k] > pmax[k]);
     }
-    out[c] = le_min ? kClassDominatesMin
-                    : (le_max ? kClassDominatesMax : kClassDiscard);
+    dominators[num_dominators] = id;
+    kept[num_kept] = id;
+    num_dominators += static_cast<int>(le_min);
+    num_kept += static_cast<int>(le_max & !le_min);
   }
+  return PartitionCounts{num_dominators, num_kept};
 }
 
 void ScoreCornersScalar(const double* coords, int dim, const int* ids,
@@ -111,9 +118,9 @@ void BoundSweepMaskScalar(const double* lower, const double* pending,
 }
 
 const KernelOps kScalarOps = {
-    KernelArch::kScalar,    ClassifyCornersScalar, ScoreCornersScalar,
-    DominatedMaskScalar,    DominanceCountScalar,  AnyRowDominatesScalar,
-    MapPointScalar,         SumProbsScalar,        BoundSweepMaskScalar,
+    KernelArch::kScalar,    PartitionCornersScalar, ScoreCornersScalar,
+    DominatedMaskScalar,    DominanceCountScalar,   AnyRowDominatesScalar,
+    MapPointScalar,         SumProbsScalar,         BoundSweepMaskScalar,
 };
 
 }  // namespace

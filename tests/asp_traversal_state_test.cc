@@ -6,22 +6,29 @@
 // must restore the state *bitwise* under randomized nested add/close
 // sequences — including masses crossing the σ = 1 boundary, repeated Adds
 // of one object within a scope, and a replayed path followed by a node
-// scope (what a spawned parallel task does).
+// scope (what a spawned parallel task does). FilterAspCandidates, the
+// node filter that feeds the state, is checked against a per-candidate
+// loop across its block boundary.
 
 #include "src/core/asp_traversal_state.h"
 
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/simd/kernels.h"
 
 namespace arsp {
 namespace {
 
 using internal::AspTraversalState;
+using internal::CandidateSlice;
+using internal::GoalChannel;
+using internal::TraversalLane;
 
 // Direct recomputation of β and χ from raw σ values.
 void Recompute(const std::vector<double>& sigma, double* beta, int* chi) {
@@ -292,6 +299,102 @@ TEST(AspTraversalStateTest, ReplayedChainThenNodeScopeMatchesSerial) {
   }
   ExpectBitwiseEqual(Snapshot{{0.0, 0.0, 0.0, 0.0}, 1.0, 0},
                      Capture(serial, 4));
+}
+
+// FilterAspCandidates against the per-candidate loop it replaces, over
+// enough candidates to cross the kFilterBlock boundary three times. The parent
+// list sits on the lane's own candidate stack, as in the walker, so the
+// kept appends may move it between blocks. Under every supported kernel
+// arch: σ, β and χ match the loop's bitwise, the kept list is pushed in
+// candidate order above the untouched parent slice, and adds_out records
+// exactly the loop's Add sequence.
+TEST(FilterAspCandidatesTest, BlockedFilterMatchesPerCandidateLoop) {
+  constexpr int kObjects = 40;
+  constexpr int kRows = 4000;
+  constexpr int kDim = 3;
+  static_assert(kRows > 3 * internal::kFilterBlock, "must cross blocks");
+  Rng rng(77);
+  std::vector<double> coords(static_cast<size_t>(kRows) * kDim);
+  std::vector<double> probs(static_cast<size_t>(kRows));
+  std::vector<int> objects(static_cast<size_t>(kRows));
+  for (int i = 0; i < kRows; ++i) {
+    const int object = i % kObjects;
+    objects[static_cast<size_t>(i)] = object;
+    probs[static_cast<size_t>(i)] = 1.0 / (kRows / kObjects);
+    for (int k = 0; k < kDim; ++k) {
+      // Object 0 dominates pmin everywhere, so it turns full (χ moves);
+      // the rest sit on a coarse grid that ties the corners exactly.
+      coords[static_cast<size_t>(i) * kDim + k] =
+          object == 0 ? 0.0 : std::round(rng.Uniform(0.0, 1.0) * 8.0) / 8.0;
+    }
+  }
+  const ScoreSpan scores{coords.data(), probs.data(), objects.data(), kRows,
+                         kDim};
+  const double pmin[kDim] = {0.625, 0.625, 0.75};
+  const double pmax[kDim] = {1.0, 0.875, 1.0};
+  std::vector<int> parent_ids(static_cast<size_t>(kRows));
+  for (int i = 0; i < kRows; ++i) parent_ids[static_cast<size_t>(i)] = i;
+  std::shuffle(parent_ids.begin(), parent_ids.end(), rng.engine());
+
+  // The per-candidate reference: classify, Add or keep, in order.
+  AspTraversalState reference(kObjects);
+  std::vector<int> reference_kept;
+  std::vector<std::pair<int, double>> reference_adds;
+  for (const int id : parent_ids) {
+    bool le_min = true;
+    bool le_max = true;
+    for (int k = 0; k < kDim; ++k) {
+      le_min &= !(scores.row(id)[k] > pmin[k]);
+      le_max &= !(scores.row(id)[k] > pmax[k]);
+    }
+    if (le_min) {
+      reference.Add(scores.object(id), scores.prob(id));
+      reference_adds.emplace_back(scores.object(id), scores.prob(id));
+    } else if (le_max) {
+      reference_kept.push_back(id);
+    }
+  }
+  // All three outcomes occur, both lists span blocks, and χ moved.
+  ASSERT_GT(reference_adds.size(), static_cast<size_t>(internal::kFilterBlock));
+  ASSERT_GT(reference_kept.size(), static_cast<size_t>(internal::kFilterBlock));
+  ASSERT_LT(reference_adds.size() + reference_kept.size(),
+            static_cast<size_t>(kRows));
+  ASSERT_GE(reference.chi(), 1);
+
+  const std::vector<int> below = {7, 3, 11};  // an ancestor's slice
+  const simd::KernelArch original = simd::ActiveArch();
+  for (const simd::KernelArch arch : simd::SupportedArches()) {
+    SCOPED_TRACE(simd::KernelArchName(arch));
+    ASSERT_TRUE(simd::internal::SetArchForTesting(arch));
+    TraversalLane lane(kObjects, GoalChannel());
+    lane.candidates = below;
+    lane.candidates.insert(lane.candidates.end(), parent_ids.begin(),
+                           parent_ids.end());
+    lane.candidates.shrink_to_fit();  // the first kept append reallocates
+    const size_t parent_end = lane.candidates.size();
+    const CandidateSlice parent{&lane.candidates, below.size(), parent_end};
+    const AspTraversalState::Mark mark = lane.state.OpenScope();
+    std::vector<std::pair<int, double>> adds;
+    internal::FilterAspCandidates(scores, parent, pmin, pmax, &lane, &adds);
+
+    EXPECT_EQ(lane.counters.dominance_tests, kRows);
+    EXPECT_TRUE(std::equal(below.begin(), below.end(),
+                           lane.candidates.begin()));
+    EXPECT_TRUE(std::equal(parent_ids.begin(), parent_ids.end(),
+                           lane.candidates.begin() +
+                               static_cast<std::ptrdiff_t>(below.size())));
+    EXPECT_EQ(std::vector<int>(lane.candidates.begin() +
+                                   static_cast<std::ptrdiff_t>(parent_end),
+                               lane.candidates.end()),
+              reference_kept);
+    EXPECT_EQ(adds, reference_adds);
+    ExpectBitwiseEqual(Capture(reference, kObjects),
+                       Capture(lane.state, kObjects));
+    lane.state.CloseScope(mark);
+    ExpectBitwiseEqual(Capture(AspTraversalState(kObjects), kObjects),
+                       Capture(lane.state, kObjects));
+  }
+  simd::internal::SetArchForTesting(original);
 }
 
 }  // namespace

@@ -95,29 +95,101 @@ std::vector<int> Permutation(int n, uint64_t seed) {
   return ::testing::AssertionSuccess();
 }
 
-TEST(KernelSweep, ClassifyCorners) {
+// The two id lists a PartitionCorners call produces, cut at its counts.
+struct Partition {
+  std::vector<int> dominators;
+  std::vector<int> kept;
+};
+
+// Per-candidate statement of PartitionCorners' result: row ⪯ pmin →
+// dominators, else row ⪯ pmax → kept, both in candidate order.
+Partition ReferencePartition(const double* coords, int dim, const int* ids,
+                             int count, const double* pmin,
+                             const double* pmax) {
+  Partition out;
+  for (int c = 0; c < count; ++c) {
+    const double* row = coords + static_cast<size_t>(ids[c]) * dim;
+    bool le_min = true;
+    bool le_max = true;
+    for (int k = 0; k < dim; ++k) {
+      if (row[k] > pmin[k]) le_min = false;
+      if (row[k] > pmax[k]) le_max = false;
+    }
+    if (le_min) {
+      out.dominators.push_back(ids[c]);
+    } else if (le_max) {
+      out.kept.push_back(ids[c]);
+    }
+  }
+  return out;
+}
+
+// Runs `table`'s PartitionCorners into sentinel-padded outputs, checks that
+// nothing at or past index `count` was written, and returns the lists.
+Partition RunPartition(const KernelOps& table, const double* coords, int dim,
+                       const int* ids, int count, const double* pmin,
+                       const double* pmax) {
+  constexpr int kSentinel = -12345;
+  constexpr int kPad = 4;
+  std::vector<int> dominators(static_cast<size_t>(count + kPad), kSentinel);
+  std::vector<int> kept(static_cast<size_t>(count + kPad), kSentinel);
+  const simd::PartitionCounts counts = table.PartitionCorners(
+      coords, dim, ids, count, pmin, pmax, dominators.data(), kept.data());
+  EXPECT_GE(counts.dominators, 0);
+  EXPECT_GE(counts.kept, 0);
+  EXPECT_LE(counts.dominators + counts.kept, count);
+  for (int i = count; i < count + kPad; ++i) {
+    EXPECT_EQ(dominators[static_cast<size_t>(i)], kSentinel) << "index " << i;
+    EXPECT_EQ(kept[static_cast<size_t>(i)], kSentinel) << "index " << i;
+  }
+  dominators.resize(static_cast<size_t>(std::max(counts.dominators, 0)));
+  kept.resize(static_cast<size_t>(std::max(counts.kept, 0)));
+  return Partition{dominators, kept};
+}
+
+// Scalar against the per-candidate statement, then every other arch
+// against scalar: same lists, same order, same counts.
+void ExpectPartitionsAgree(const double* coords, int dim, const int* ids,
+                           int count, const double* pmin,
+                           const double* pmax) {
+  const Partition expected =
+      RunPartition(simd::internal::ScalarOps(), coords, dim, ids, count,
+                   pmin, pmax);
+  const Partition reference =
+      ReferencePartition(coords, dim, ids, count, pmin, pmax);
+  EXPECT_EQ(reference.dominators, expected.dominators);
+  EXPECT_EQ(reference.kept, expected.kept);
   for (const KernelOps* table : NonScalarTables()) {
-    for (const int dim : kDims) {
-      for (const int n : kSizes) {
-        SCOPED_TRACE(std::string(simd::KernelArchName(table->arch)) +
-                     " dim=" + std::to_string(dim) + " n=" +
-                     std::to_string(n));
-        const AlignedVector<double> coords =
-            AdversarialStream(n * dim, 1000 + static_cast<uint64_t>(n));
-        const AlignedVector<double> corners =
-            AdversarialStream(2 * dim, 2000 + static_cast<uint64_t>(dim));
-        const std::vector<int> ids =
-            Permutation(n, static_cast<uint64_t>(n) * 7 + 1);
-        std::vector<unsigned char> expected(static_cast<size_t>(n) + 1, 0xee);
-        std::vector<unsigned char> actual(static_cast<size_t>(n) + 1, 0xee);
-        simd::internal::ScalarOps().ClassifyCorners(
-            coords.data(), dim, ids.data(), n, corners.data(),
-            corners.data() + dim, expected.data());
-        table->ClassifyCorners(coords.data(), dim, ids.data(), n,
-                               corners.data(), corners.data() + dim,
-                               actual.data());
-        EXPECT_EQ(expected, actual);
+    SCOPED_TRACE(simd::KernelArchName(table->arch));
+    const Partition actual =
+        RunPartition(*table, coords, dim, ids, count, pmin, pmax);
+    EXPECT_EQ(expected.dominators, actual.dominators);
+    EXPECT_EQ(expected.kept, actual.kept);
+  }
+}
+
+TEST(KernelSweep, PartitionCorners) {
+  for (const int dim : kDims) {
+    for (const int n : kSizes) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) + " n=" + std::to_string(n));
+      const AlignedVector<double> coords =
+          AdversarialStream(n * dim, 1000 + static_cast<uint64_t>(n));
+      const AlignedVector<double> corners =
+          AdversarialStream(2 * dim, 2000 + static_cast<uint64_t>(dim));
+      const std::vector<int> ids =
+          Permutation(n, static_cast<uint64_t>(n) * 7 + 1);
+      // Unordered corners (a row may be ⪯ pmin but not ⪯ pmax), then the
+      // ordered corners a traversal node has, where all three outcomes mix.
+      ExpectPartitionsAgree(coords.data(), dim, ids.data(), n, corners.data(),
+                            corners.data() + dim);
+      std::vector<double> lo(static_cast<size_t>(dim));
+      std::vector<double> hi(static_cast<size_t>(dim));
+      for (int k = 0; k < dim; ++k) {
+        lo[static_cast<size_t>(k)] = std::min(corners[k], corners[dim + k]);
+        hi[static_cast<size_t>(k)] = std::max(corners[k], corners[dim + k]);
       }
+      ExpectPartitionsAgree(coords.data(), dim, ids.data(), n, lo.data(),
+                            hi.data());
     }
   }
 }
@@ -255,28 +327,18 @@ TEST(KernelSweep, BoundSweepMask) {
 // Rows gathered through ids at an offset: kernels must not assume the
 // gather base is aligned or that ids start at 0.
 TEST(KernelSweep, UnalignedGatherWindows) {
-  for (const KernelOps* table : NonScalarTables()) {
-    const int dim = 3;
-    const int total = 40;
+  const int total = 40;
+  for (const int dim : {3, 4}) {
     const AlignedVector<double> coords = AdversarialStream(total * dim, 13);
     const AlignedVector<double> corners = AdversarialStream(2 * dim, 14);
     std::vector<int> ids = Permutation(total, 15);
     for (int begin : {0, 1, 2, 3, 5}) {
       for (int count : {0, 1, 2, 3, 4, 5, 9}) {
-        SCOPED_TRACE(std::string(simd::KernelArchName(table->arch)) +
-                     " begin=" + std::to_string(begin) + " count=" +
+        SCOPED_TRACE("dim=" + std::to_string(dim) + " begin=" +
+                     std::to_string(begin) + " count=" +
                      std::to_string(count));
-        std::vector<unsigned char> expected(static_cast<size_t>(count) + 1,
-                                            0xee);
-        std::vector<unsigned char> actual(static_cast<size_t>(count) + 1,
-                                          0xee);
-        simd::internal::ScalarOps().ClassifyCorners(
-            coords.data(), dim, ids.data() + begin, count, corners.data(),
-            corners.data() + dim, expected.data());
-        table->ClassifyCorners(coords.data(), dim, ids.data() + begin, count,
-                               corners.data(), corners.data() + dim,
-                               actual.data());
-        EXPECT_EQ(expected, actual);
+        ExpectPartitionsAgree(coords.data(), dim, ids.data() + begin, count,
+                              corners.data(), corners.data() + dim);
       }
     }
   }
